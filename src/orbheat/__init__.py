@@ -24,6 +24,7 @@ from .classify import (
     injectivity_scan,
     pillow_negative_vs_rest,
     positive_vs_zero_chi,
+    roster_size,
     sph_hyp_lhs,
     spherical_distinguish,
     unit_sphere_mirror_length,
@@ -49,6 +50,7 @@ from .heat import (
     GaussBonnetViolation,
     HeatExpansion,
     MetricData,
+    c_ratio,
     coefficient_half,
     coefficient_minus_half,
     coefficient_minus_one,

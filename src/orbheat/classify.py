@@ -19,12 +19,13 @@ of pi) and in curvature_sign's float inputs.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .heat import HeatExpansion, spectral_c
+from .heat import HeatExpansion, c_ratio, spectral_c
 from .notation import render
 from .signature import OrbifoldSignature, euler_characteristic
 
@@ -74,12 +75,17 @@ def _sphere(*cones) -> OrbifoldSignature:
     return OrbifoldSignature(cone_points=tuple(cones))
 
 
-def _mirrored(cones, corners) -> OrbifoldSignature:
-    return OrbifoldSignature(cone_points=tuple(cones), mirror_boundaries=(tuple(corners),))
+# Class rosters stream their members as (handles, crosscaps, cones,
+# boundaries) tuples, already in normalized form, so the scans below can key
+# on c_ratio and build an OrbifoldSignature only for the members they return.
 
 
-def _crosscapped(cones) -> OrbifoldSignature:
-    return OrbifoldSignature(crosscaps=1, cone_points=tuple(cones))
+def _teardrops_footballs(bound: int):
+    for m in range(2, bound + 1):
+        yield 0, 0, (m,), ()
+    for r in range(2, bound + 1):
+        for s in range(r, bound + 1):
+            yield 0, 0, (r, s), ()
 
 
 def _nonneg_pillows(bound: int):
@@ -88,75 +94,83 @@ def _nonneg_pillows(bound: int):
     chi >= 0 forces 1/p + 1/q + 1/r >= 1, so p is 2 or 3 and the other
     orders are tightly bounded except for the (2, 2, r) tail.
     """
-    out = [_sphere(2, 2, r) for r in range(2, bound + 1)]
+    for r in range(2, bound + 1):
+        yield 0, 0, (2, 2, r), ()
     for q, rmax in ((3, 6), (4, 4)):
-        out.extend(
-            _sphere(2, q, r) for r in range(q, min(rmax, bound) + 1) if q <= bound
-        )
+        for r in range(q, min(rmax, bound) + 1):
+            yield 0, 0, (2, q, r), ()
     if bound >= 3:
-        out.append(_sphere(3, 3, 3))
-    return out
+        yield 0, 0, (3, 3, 3), ()
 
 
 _SPHERICAL_FIXED = (
-    _sphere(2, 3, 3),
-    _sphere(2, 3, 4),
-    _sphere(2, 3, 5),
-    _mirrored((), (2, 3, 3)),
-    _mirrored((3,), (2,)),
-    _mirrored((), (2, 3, 4)),
-    _mirrored((), (2, 3, 5)),
+    ((2, 3, 3), ()),
+    ((2, 3, 4), ()),
+    ((2, 3, 5), ()),
+    ((), ((2, 3, 3),)),
+    ((3,), ((2,),)),
+    ((), ((2, 3, 4),)),
+    ((), ((2, 3, 5),)),
 )
+
+
+def _roster(cls: OrbifoldClass):
+    """Every member of the class as a (handles, crosscaps, cones, boundaries) tuple."""
+    B = cls.bound
+    kind = cls.kind
+    if kind is ClassKind.TEARDROPS_AND_FOOTBALLS:
+        yield from _teardrops_footballs(B)
+    elif kind is ClassKind.TRIANGULAR_PILLOWS:
+        for p in range(2, B + 1):
+            for q in range(p, B + 1):
+                for r in range(q, B + 1):
+                    yield 0, 0, (p, q, r), ()
+    elif kind is ClassKind.CLASS_C_ORIENTABLE:
+        yield 0, 0, (), ()
+        yield 1, 0, (), ()
+        yield from _teardrops_footballs(B)
+        yield from _nonneg_pillows(B)
+        yield 0, 0, (2, 2, 2, 2), ()
+    elif kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
+        for m in range(2, B + 1):
+            yield 0, 0, (m, m), ()
+            yield 0, 0, (2, 2, m), ()
+            yield 0, 0, (), ((m, m),)
+            yield 0, 1, (m,), ()
+            yield 0, 0, (m,), ((),)
+            yield 0, 0, (), ((2, 2, m),)
+            yield 0, 0, (2,), ((m,),)
+        for cones, boundaries in _SPHERICAL_FIXED:
+            if max((*cones, *(n for c in boundaries for n in c))) <= B:
+                yield 0, 0, cones, boundaries
+    else:
+        raise ValueError(f"unknown class kind {kind!r}")
 
 
 def enumerate_class(cls: OrbifoldClass) -> tuple:
     """Complete duplicate-free roster of the class with orders <= cls.bound."""
-    B = cls.bound
-    kind = cls.kind
-    if kind is ClassKind.TEARDROPS_AND_FOOTBALLS:
-        members = [_sphere(m) for m in range(2, B + 1)]
-        members.extend(
-            _sphere(r, s) for r in range(2, B + 1) for s in range(r, B + 1)
-        )
-        return tuple(members)
-    if kind is ClassKind.TRIANGULAR_PILLOWS:
-        return tuple(
-            _sphere(p, q, r)
-            for p in range(2, B + 1)
-            for q in range(p, B + 1)
-            for r in range(q, B + 1)
-        )
-    if kind is ClassKind.CLASS_C_ORIENTABLE:
-        members = [OrbifoldSignature(), OrbifoldSignature(handles=1)]
-        members.extend(_sphere(m) for m in range(2, B + 1))
-        members.extend(
-            _sphere(r, s) for r in range(2, B + 1) for s in range(r, B + 1)
-        )
-        members.extend(_nonneg_pillows(B))
-        members.append(_sphere(2, 2, 2, 2))
-        return tuple(members)
-    if kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
-        members = []
-        for m in range(2, B + 1):
-            members.append(_sphere(m, m))
-            members.append(_sphere(2, 2, m))
-            members.append(_mirrored((), (m, m)))
-            members.append(_crosscapped((m,)))
-            members.append(_mirrored((m,), ()))
-            members.append(_mirrored((), (2, 2, m)))
-            members.append(_mirrored((2,), (m,)))
-        orders_of = lambda sig: (*sig.cone_points, *sig.corner_orders)
-        members.extend(
-            sig for sig in _SPHERICAL_FIXED if max(orders_of(sig)) <= B
-        )
-        return tuple(members)
-    raise ValueError(f"unknown class kind {kind!r}")
+    return tuple(OrbifoldSignature(*member) for member in _roster(cls))
+
+
+def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
+    """Number of members of the class, counted without building signatures.
+
+    With a limit, counting stops after limit + 1 members, so a result above
+    limit only says the roster is larger than limit.
+    """
+    stop = None if limit is None else limit + 1
+    return sum(1 for _ in itertools.islice(_roster(cls), stop))
 
 
 def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
     """All class members whose spectral constant equals c_value exactly."""
     target = Fraction(c_value)
-    return tuple(sig for sig in enumerate_class(cls) if spectral_c(sig) == target)
+    key = (target.numerator, target.denominator)
+    return tuple(
+        OrbifoldSignature(*member)
+        for member in _roster(cls)
+        if c_ratio(*member) == key
+    )
 
 
 @dataclass(frozen=True)
@@ -177,10 +191,22 @@ class CollisionPair:
 
 def collision_groups(cls: OrbifoldClass) -> dict:
     """Members grouped by spectral constant, keeping only groups of size >= 2."""
-    groups = {}
-    for sig in enumerate_class(cls):
-        groups.setdefault(spectral_c(sig), []).append(sig)
-    return {c: tuple(sigs) for c, sigs in groups.items() if len(sigs) >= 2}
+    # One list per distinct c would be one tracked object per member for
+    # the garbage collector to rescan; lists are made only for collisions.
+    first = {}  # c_ratio -> the first member with that c
+    shared = {}  # c_ratio -> all members with that c, once there are two
+    for member in _roster(cls):
+        key = c_ratio(*member)
+        seen = first.get(key)
+        if seen is None:
+            first[key] = member
+        else:
+            shared.setdefault(key, [seen]).append(member)
+    return {
+        Fraction(*key): tuple(OrbifoldSignature(*m) for m in shared[key])
+        for key in first
+        if key in shared
+    }
 
 
 def injectivity_scan(cls: OrbifoldClass) -> tuple:

@@ -19,9 +19,9 @@ from .classify import (
     ClassKind,
     OrbifoldClass,
     injectivity_scan,
-    enumerate_class,
     pillow_negative_vs_rest,
     positive_vs_zero_chi,
+    roster_size,
     spherical_distinguish,
 )
 from .flat import FlatModel, fit_expansion, heat_trace, sample_trace, verify_model
@@ -53,6 +53,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 _MODEL_NAMES = tuple(m.value for m in FlatModel)
 _CLASS_NAMES = tuple(k.value for k in ClassKind)
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
+
+# Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
+# c, so this caps the scan's memory (a few hundred MB) and run time (seconds).
+SCAN_MEMBER_LIMIT = 1_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,8 +205,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_scan(args) -> int:
     cls = OrbifoldClass(ClassKind(args.class_name), args.bound)
+    members = roster_size(cls, SCAN_MEMBER_LIMIT)
+    if members > SCAN_MEMBER_LIMIT:
+        raise ValueError(
+            f"class {cls.kind.value} at bound {cls.bound} has more than "
+            f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
+        )
     pairs = injectivity_scan(cls)
-    members = len(enumerate_class(cls))
     if pairs:
         text = [
             f"{render(p.sig_a)} ~ {render(p.sig_b)}  c={p.c}" for p in pairs
@@ -304,3 +313,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

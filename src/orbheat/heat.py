@@ -137,19 +137,41 @@ def _check_cone_args(m, j) -> None:
         raise DomainError(f"rotation index must satisfy 1 <= j <= m-1, got {j!r}")
 
 
-def degree_zero_term(sig: OrbifoldSignature) -> Fraction:
-    """Exact degree-0 heat coefficient; purely topological."""
-    total = euler_characteristic(sig) / 6
-    for m in sig.cone_points:
-        total += Fraction(m * m - 1, 12 * m)
-    for n in sig.corner_orders:
-        total += Fraction(n * n - 1, 24 * n)
-    return total
+def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:
+    """The spectral constant c as a reduced (numerator, denominator) int pair.
+
+    c = 4 - 4 handles - 2 crosscaps - 2 boundaries
+        + sum_cones (m-1)^2/m + sum_corners (n-1)^2/(2n),
+
+    which is 12 * (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)) with chi
+    expanded.  cones is a sequence of cone orders and boundaries a sequence
+    of corner-order sequences, all >= 2.  Trading one handle for two
+    crosscaps leaves c unchanged, so the counts need not be normalized.
+    The denominator is positive.
+    """
+    num = 4 - 4 * handles - 2 * crosscaps - 2 * len(boundaries)
+    den = 1
+    for m in cones:
+        num = num * m + (m - 1) ** 2 * den
+        den *= m
+    for corners in boundaries:
+        for n in corners:
+            num = num * 2 * n + (n - 1) ** 2 * den
+            den *= 2 * n
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def spectral_c(sig: OrbifoldSignature) -> Fraction:
     """The integer-normalized spectral constant c = 12 * degree-0 coefficient."""
-    return 12 * degree_zero_term(sig)
+    return Fraction(
+        *c_ratio(sig.handles, sig.crosscaps, sig.cone_points, sig.mirror_boundaries)
+    )
+
+
+def degree_zero_term(sig: OrbifoldSignature) -> Fraction:
+    """Exact degree-0 heat coefficient; purely topological."""
+    return spectral_c(sig) / 12
 
 
 def coefficient_minus_one(metric: MetricData) -> float:

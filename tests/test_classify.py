@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from orbheat.classify import (
     injectivity_scan,
     pillow_negative_vs_rest,
     positive_vs_zero_chi,
+    roster_size,
     spherical_distinguish,
     sph_hyp_lhs,
     unit_sphere_mirror_length,
@@ -49,6 +51,21 @@ def spherical(bound):
 
 def names(cls):
     return sorted(render(sig) for sig in enumerate_class(cls))
+
+
+def reference_c(sig):
+    """12 (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)), term by term."""
+    chi = Fraction(2 - 2 * sig.handles - sig.crosscaps - len(sig.mirror_boundaries))
+    for m in sig.cone_points:
+        chi -= Fraction(m - 1, m)
+    for n in sig.corner_orders:
+        chi -= Fraction(n - 1, 2 * n)
+    total = chi / 6
+    for m in sig.cone_points:
+        total += Fraction(m * m - 1, 12 * m)
+    for n in sig.corner_orders:
+        total += Fraction(n * n - 1, 24 * n)
+    return 12 * total
 
 
 def constant_curvature_expansion(notation, curvature, mirror_length=0.0):
@@ -203,6 +220,99 @@ class TestCPreimage:
         cls = class_c(8)
         for sig in enumerate_class(cls):
             assert sig in c_preimage(cls, spectral_c(sig))
+
+
+class TestRosterOrder:
+    """Rosters come out in a fixed order; scans and preimages inherit it."""
+
+    def ordered(self, cls):
+        return [render(sig) for sig in enumerate_class(cls)]
+
+    def test_teardrops_then_footballs(self):
+        assert self.ordered(teardrops(4)) == [
+            "2", "3", "4", "2,2", "2,3", "2,4", "3,3", "3,4", "4,4",
+        ]
+
+    def test_pillows_lexicographic(self):
+        assert self.ordered(pillows(4)) == [
+            "2,2,2", "2,2,3", "2,2,4", "2,3,3", "2,3,4", "2,4,4",
+            "3,3,3", "3,3,4", "3,4,4", "4,4,4",
+        ]
+
+    def test_class_c(self):
+        assert self.ordered(class_c(4)) == [
+            "", "o", "2", "3", "4", "2,2", "2,3", "2,4", "3,3", "3,4", "4,4",
+            "2,2,2", "2,2,3", "2,2,4", "2,3,3", "2,3,4", "2,4,4", "3,3,3",
+            "2,2,2,2",
+        ]
+
+    def test_spherical_families_then_sporadics(self):
+        families = []
+        for m in range(2, 6):
+            families += [
+                f"{m},{m}", f"2,2,{m}", f"*{m},{m}", f"{m}×",
+                f"{m},*", f"*2,2,{m}", f"2,*{m}",
+            ]
+        assert self.ordered(spherical(5)) == families + [
+            "2,3,3", "2,3,4", "2,3,5", "*2,3,3", "3,*2", "*2,3,4", "*2,3,5",
+        ]
+
+
+class TestRosterSize:
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_counts_the_roster(self, kind):
+        for bound in (2, 3, 12):
+            cls = OrbifoldClass(kind, bound)
+            assert roster_size(cls) == len(enumerate_class(cls))
+
+    def test_limit_stops_one_past(self):
+        assert roster_size(pillows(10)) == 165
+        assert roster_size(pillows(10), limit=165) == 165
+        assert roster_size(pillows(10), limit=5) == 6
+        assert roster_size(pillows(10**9), limit=1000) == 1001
+
+
+class TestScansMatchFractionReference:
+    """The int-keyed scans against plain Fraction bookkeeping over the roster."""
+
+    BOUND = 60
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_scans_equal_reference(self, kind):
+        cls = OrbifoldClass(kind, self.BOUND)
+        roster = enumerate_class(cls)
+        c_of = {sig: reference_c(sig) for sig in roster}
+
+        groups = {}
+        for sig in roster:
+            groups.setdefault(c_of[sig], []).append(sig)
+        expected_groups = {c: tuple(s) for c, s in groups.items() if len(s) >= 2}
+        got_groups = collision_groups(cls)
+        assert list(got_groups.items()) == list(expected_groups.items())
+        assert all(type(c) is Fraction for c in got_groups)
+
+        expected_pairs = tuple(
+            CollisionPair(sigs[i], sigs[j], c)
+            for c, sigs in sorted(expected_groups.items())
+            for i in range(len(sigs))
+            for j in range(i + 1, len(sigs))
+        )
+        assert injectivity_scan(cls) == expected_pairs
+
+        sample = random.Random(kind.value).sample(roster, min(12, len(roster)))
+        targets = {c_of[sig] for sig in sample}
+        misses = {Fraction(1, 7), Fraction(-10**6), Fraction(10**9 + 1, 3)}
+        assert not misses & set(c_of.values())
+        for target in sorted(targets | misses):
+            expected = tuple(groups.get(target, ()))
+            assert c_preimage(cls, target) == expected
+            assert (target in targets) == bool(expected)
+
+    def test_preimage_accepts_int_and_string_values(self):
+        assert c_preimage(pillows(12), 8) == c_preimage(pillows(12), Fraction(8))
+        assert c_preimage(spherical(20), "271/30") == c_preimage(
+            spherical(20), Fraction(271, 30)
+        )
 
 
 class TestInjectivityScans:

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orbheat.cli
 import orbheat.tables
-from orbheat.cli import run
+from orbheat.cli import SCAN_MEMBER_LIMIT, run
 from orbheat.flat import FlatModel, heat_trace
 from orbheat.heat import MetricData, full_expansion
 from orbheat.notation import parse
@@ -232,6 +238,27 @@ class TestScanCommand:
         assert code == 1
         assert err != ""
 
+    def test_oversized_roster_rejected_quickly(self, capsys):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys, "scan", "--class", "pillows", "--bound", "1000000"
+        )
+        assert time.perf_counter() - start < 30
+        assert code == 1
+        assert out == ""
+        assert str(SCAN_MEMBER_LIMIT) in err
+        assert "pillows" in err and "1000000" in err
+
+    def test_member_limit_is_inclusive(self, capsys, monkeypatch):
+        # teardrops-footballs at bound 40 has 819 members
+        argv = ("scan", "--class", "teardrops-footballs", "--bound", "40")
+        monkeypatch.setattr(orbheat.cli, "SCAN_MEMBER_LIMIT", 819)
+        assert invoke(capsys, *argv) == (0, "no collisions among 819 members\n", "")
+        monkeypatch.setattr(orbheat.cli, "SCAN_MEMBER_LIMIT", 818)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "818" in err
+
 
 class TestTraceCommand:
     def test_value_matches_library(self, capsys):
@@ -348,3 +375,18 @@ class TestUsageErrors:
         code, out, _ = invoke(capsys, "trace", "--help")
         assert code == 0
         assert "--model" in out
+
+
+@pytest.mark.parametrize("module", ["orbheat", "orbheat.cli"])
+def test_module_entry_points(module):
+    src = str(Path(orbheat.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-m", module, "c", "2,3,5"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "271/30\n", "")

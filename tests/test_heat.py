@@ -6,12 +6,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbheat.heat import (
     DEGREES,
     GaussBonnetViolation,
     HeatExpansion,
     MetricData,
+    c_ratio,
     coefficient_half,
     coefficient_minus_half,
     coefficient_minus_one,
@@ -240,6 +243,52 @@ def enumeration(orders=(2, 3, 9, 100)):
 def test_c_is_twelve_times_degree_zero():
     for signature in enumeration():
         assert spectral_c(signature) == 12 * degree_zero_term(signature)
+
+
+def reference_c(handles, crosscaps, cones, boundaries):
+    """12 (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)), term by term."""
+    corners = [n for b in boundaries for n in b]
+    chi = Fraction(2 - 2 * handles - crosscaps - len(boundaries))
+    chi -= sum(Fraction(m - 1, m) for m in cones)
+    chi -= sum(Fraction(n - 1, 2 * n) for n in corners)
+    total = chi / 6
+    total += sum(Fraction(m * m - 1, 12 * m) for m in cones)
+    total += sum(Fraction(n * n - 1, 24 * n) for n in corners)
+    return 12 * total
+
+
+ORDERS = st.integers(min_value=2, max_value=10**4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    handles=st.integers(min_value=0, max_value=4),
+    crosscaps=st.integers(min_value=0, max_value=4),
+    cones=st.lists(ORDERS, max_size=5),
+    boundaries=st.lists(st.lists(ORDERS, max_size=4), max_size=3),
+)
+def test_spectral_c_matches_fraction_reference(handles, crosscaps, cones, boundaries):
+    signature = sig(handles, crosscaps, cones, boundaries)
+    expected = reference_c(handles, crosscaps, cones, boundaries)
+    c = spectral_c(signature)
+    assert type(c) is Fraction
+    assert c == expected
+    assert 12 * degree_zero_term(signature) == expected
+    # The raw (unnormalized) counts and the signature give the same pair,
+    # already in lowest terms with a positive denominator.
+    pair = c_ratio(handles, crosscaps, cones, boundaries)
+    assert pair == (expected.numerator, expected.denominator)
+    assert pair == (c.numerator, c.denominator)
+    assert pair[1] > 0 and math.gcd(*pair) == 1
+
+
+def test_c_ratio_golden():
+    assert c_ratio(0, 0, (2, 3, 5), ()) == (271, 30)
+    assert c_ratio(0, 0, (2, 2, 2, 2), ()) == (6, 1)
+    assert c_ratio(0, 0, (), ()) == (4, 1)
+    assert c_ratio(2, 0, (), ()) == (-4, 1)
+    assert c_ratio(0, 0, (), ((2, 2, 2, 2),)) == (3, 1)
+    assert c_ratio(0, 1, (2,), ()) == (5, 2)
 
 
 def test_orientable_specialization():
