@@ -55,9 +55,6 @@ from .heat import (
     coefficient_minus_half,
     coefficient_minus_one,
     coefficient_one,
-    cone_I0,
-    cone_b0,
-    cone_b1,
     degree_zero_term,
     full_expansion,
     has_half_integer_terms,
@@ -78,11 +75,6 @@ from .signature import (
     signature_to_json,
 )
 from .tables import verify_table1, verify_table2
-from .trigsums import (
-    DomainError,
-    cosecant2_sum,
-    cosecant4_sum,
-    cosecant_sum_numeric,
-)
+from .trigsums import DomainError, cosecant_sum_numeric
 
 __version__ = "0.1.0"

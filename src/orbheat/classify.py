@@ -232,58 +232,62 @@ class PillowSeparation:
     positive_member: OrbifoldSignature | None = None
 
 
-def _solve_order_plus_reciprocal(w: Fraction):
-    """The integer m >= 2 with m + 1/m = w, or None."""
-    m = int(w)
-    if m >= 2 and Fraction(m) + Fraction(1, m) == w:
-        return m
-    return None
+# Largest number of first orders pillow_negative_vs_rest tries for one h.
+# The range (1/h, min(3/h, S/3)] grows with the denominator of c, so an
+# uncapped c would run for days; at this cap a search takes under a second.
+PILLOW_ORDER_LIMIT = 1_000_000
 
 
-def pillow_negative_vs_rest(c_value, bound: int | None = None) -> PillowSeparation:
+def pillow_negative_vs_rest(c_value) -> PillowSeparation:
     """Can c_value be attained both by a chi<0 pillow and by the chi>0 side?
 
     The chi>0 side is the teardrops plus the chi>0 triangular pillows.  A
-    chi<0 pillow O(p, q, r) has c = (p+q+r-2) + h with h = 1/p+1/q+1/r in
-    (0, 1), so the integer part of c pins p+q+r and the fractional part
-    pins h; the remaining search over order triples with a fixed sum is
-    finite, making the decision complete even with bound=None.  The chi>0
-    attainments are solved exactly family by family.
+    pillow O(p, q, r) has c = S - 2 + h with S = p+q+r and h = 1/p+1/q+1/r
+    in (0, 3/2], so h is frac(c) (chi<0) or frac(c)+1 (chi>0) and S
+    follows.  For each first order p in (1/h, min(3/h, S/3)], q and r are
+    the integer roots of x^2 - (S-p) x + (S-p)/(h-1/p), so the search is
+    exact and complete with no order bound; the smallest p wins, as in the
+    lexicographic roster.  A teardrop O(m) has c = m + 2 + 1/m, so its only
+    candidate is m = floor(c) - 2.  Raises ValueError when more than
+    PILLOW_ORDER_LIMIT first orders would need trying.
     """
     c = Fraction(c_value)
-    negative = None
-    if c > 0 and c.denominator != 1:
-        total = int(c) + 2
-        h = c - (total - 2)
-        rmax = total - 4 if bound is None else min(total - 4, bound)
-        for p in range(2, total // 3 + 1):
-            if negative:
-                break
-            for q in range(p, (total - p) // 2 + 1):
-                r = total - p - q
-                if r < q or r > rmax:
-                    continue
-                if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) == h:
-                    negative = _sphere(p, q, r)
-                    break
-
-    positive = None
-    m = _solve_order_plus_reciprocal(c - 2)
-    if m is not None:
+    floor = c.numerator // c.denominator
+    frac = c - floor
+    negative = positive = None
+    m = floor - 2
+    if m >= 2 and c_ratio(0, 0, (m,), ()) == (c.numerator, c.denominator):
         positive = _sphere(m)
-    if positive is None:
-        m = _solve_order_plus_reciprocal(c - 3)
-        if m is not None:
-            positive = _sphere(2, 2, m)
-    if positive is None:
-        for sig in (_sphere(2, 3, 3), _sphere(2, 3, 4), _sphere(2, 3, 5)):
-            if spectral_c(sig) == c:
-                positive = sig
+    for h in (frac, frac + 1):
+        if not 0 < h <= Fraction(3, 2) or h == 1:
+            continue
+        hn, hd = h.numerator, h.denominator
+        total = floor + 2 - (h > 1)
+        first = max(2, hd // hn + 1)
+        last = min(3 * hd // hn, total // 3)
+        if last - first + 1 > PILLOW_ORDER_LIMIT:
+            raise ValueError(
+                f"c = {c} needs {last - first + 1} first orders tried, "
+                f"more than the limit of {PILLOW_ORDER_LIMIT}"
+            )
+        for p in range(first, last + 1):
+            s = total - p
+            # q + r = s and 1/q + 1/r = h - 1/p = (hn p - hd) / (hd p)
+            prod, rem = divmod(s * hd * p, hn * p - hd)
+            disc = s * s - 4 * prod
+            if rem or disc < 0:
+                continue
+            root = math.isqrt(disc)
+            # a root below p would have been found as an earlier p
+            if root * root == disc and (s - root) % 2 == 0:
+                q = (s - root) // 2
+                if h < 1:
+                    negative = _sphere(p, q, s - q)
+                else:
+                    positive = _sphere(p, q, s - q)
                 break
 
-    if negative is not None and positive is not None:
-        return PillowSeparation(False, negative, positive)
-    return PillowSeparation(True, negative, positive)
+    return PillowSeparation(negative is None or positive is None, negative, positive)
 
 
 def sph_hyp_lhs(p: int, q: int, r: int) -> int:

@@ -24,22 +24,24 @@ from .classify import (
     roster_size,
     spherical_distinguish,
 )
-from .flat import FlatModel, fit_expansion, heat_trace, sample_trace, verify_model
+from .flat import (
+    FIT_DEGREES,
+    FlatModel,
+    degree_label,
+    fit_expansion,
+    heat_trace,
+    sample_trace,
+    verify_model,
+)
 from .heat import (
     GaussBonnetViolation,
     MetricData,
     full_expansion,
     spectral_c,
 )
-from .notation import NotationError, parse, render
-from .signature import (
-    SignatureError,
-    euler_characteristic,
-    rational_to_json,
-    signature_to_json,
-)
+from .notation import parse, render
+from .signature import euler_characteristic, rational_to_json, signature_to_json
 from .tables import verify_table1, verify_table2
-from .trigsums import DomainError
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -56,6 +58,8 @@ _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 
 # Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
 # c, so this caps the scan's memory (a few hundred MB) and run time (seconds).
+# `classify --class pillow-negative` is capped the same way, by
+# classify.PILLOW_ORDER_LIMIT; both limits are fixed, not options.
 SCAN_MEMBER_LIMIT = 1_000_000
 
 
@@ -113,13 +117,6 @@ def _emit(args, payload, text_lines) -> None:
     else:
         for line in text_lines:
             print(line)
-
-
-_FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
-
-
-def _degree_label(d: Fraction) -> str:
-    return f"{float(d):g}"
 
 
 def _cmd_parse(args) -> int:
@@ -236,17 +233,17 @@ def _cmd_trace(args) -> int:
 
 def _cmd_fit(args) -> int:
     model = FlatModel(args.model)
-    fit = fit_expansion(sample_trace(model), _FIT_DEGREES)
+    fit = fit_expansion(sample_trace(model), FIT_DEGREES)
     payload = {
         "model": model.value,
         "coefficients": {
-            _degree_label(d): v for d, v in fit.coefficients.items()
+            degree_label(d): v for d, v in fit.coefficients.items()
         },
         "residual": fit.residual,
         "condition": fit.condition,
     }
     text = [
-        f"deg {_degree_label(d)}: {v!r}" for d, v in fit.coefficients.items()
+        f"deg {degree_label(d)}: {v!r}" for d, v in fit.coefficients.items()
     ]
     text.append(f"residual: {fit.residual:.3e}")
     text.append(f"condition: {fit.condition:.3e}")
@@ -306,7 +303,7 @@ def run(argv=None) -> int:
     except GaussBonnetViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotationError, SignatureError, DomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .heat import HeatExpansion, MetricData, full_expansion
 from .signature import OrbifoldSignature
 
@@ -275,6 +273,9 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
     points than degrees and IllConditioned when the design matrix
     condition number exceeds condition_limit.
     """
+    # Imported here so that the subcommands that fit nothing start without numpy.
+    import numpy as np
+
     degs = tuple(Fraction(d) for d in degrees)
     if len(set(degs)) != len(degs):
         raise ValueError(f"fit degrees must be distinct, got {degrees!r}")
@@ -309,14 +310,16 @@ def predicted_expansion(model: FlatModel) -> HeatExpansion:
     return full_expansion(model.signature, metric)
 
 
-_DEFAULT_VERIFY_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
+# The degrees that fit and verify solve for by default.
+FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
 
 
-def _degree_key(d: Fraction) -> str:
+def degree_label(d: Fraction) -> str:
+    """The report key of a degree: "-1", "-0.5", "0", ..."""
     return f"{float(d):g}"
 
 
-def verify_model(model: FlatModel, degrees=_DEFAULT_VERIFY_DEGREES, times=None) -> dict:
+def verify_model(model: FlatModel, degrees=FIT_DEGREES, times=None) -> dict:
     """Fit the sampled trace and compare against predicted coefficients.
 
     Returns {degree: {fitted, predicted, abs_err, rel_err}} with degree
@@ -332,7 +335,7 @@ def verify_model(model: FlatModel, degrees=_DEFAULT_VERIFY_DEGREES, times=None) 
         target = predicted.as_float(d)
         abs_err = abs(fitted - target)
         rel_err = abs_err / abs(target) if target != 0 else abs_err
-        report[_degree_key(d)] = {
+        report[degree_label(d)] = {
             "fitted": fitted,
             "predicted": target,
             "abs_err": abs_err,

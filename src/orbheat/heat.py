@@ -20,8 +20,12 @@ with the five leading coefficients
 The degree-0 coefficient depends only on the topology, so it is an exact
 rational; 12 times it is the spectral constant c used by the classifier.
 The singular-point contributions come from averaging the rotation kernel
-over the local isotropy group; the closed forms of the resulting cosecant
-sums live in trigsums.
+over the local isotropy group: a cone of order m adds (1/m) times the
+cosecant sums sum_j csc^2(pi j/m) / 4 at degree 0 and K sum_j csc^4(pi j/m) / 8
+at degree 1, and a corner adds half of what a cone of its order adds.
+Their closed forms live in c_ratio and _singular_degree_one_sum alone;
+trigsums.cosecant_sum_numeric sums the cosecants term by term, and the
+tests compare the two.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from .signature import (
     rational_from_json,
     rational_to_json,
 )
-from .trigsums import DomainError
 
 DEGREES = (
     Fraction(-1),
@@ -104,37 +107,6 @@ class MetricData:
         if self.mirror_curvature_integral is not None:
             return float(self.mirror_curvature_integral)
         return 2.0 * float(self.curvature) * float(self.mirror_length)
-
-
-def cone_b0(m: int, j: int) -> float:
-    """Rotation-kernel weight 1 / (4 sin^2(pi j / m)) for 1 <= j <= m-1."""
-    _check_cone_args(m, j)
-    s = math.sin(math.pi * min(j, m - j) / m)
-    return 1.0 / (4.0 * s * s)
-
-
-def cone_b1(m: int, j: int, curvature) -> float:
-    """Curvature correction K / (8 sin^4(pi j / m)) for 1 <= j <= m-1."""
-    _check_cone_args(m, j)
-    s = math.sin(math.pi * min(j, m - j) / m)
-    return float(curvature) / (8.0 * s**4)
-
-
-def cone_I0(m: int) -> Fraction:
-    """Exact sum of cone_b0(m, j) over j = 1..m-1: (m^2 - 1) / 12.
-
-    m = 1 is the trivial isotropy case: the sum is empty and the value 0.
-    """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"cone order must be an int >= 1, got {m!r}")
-    return Fraction(m * m - 1, 12)
-
-
-def _check_cone_args(m, j) -> None:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise DomainError(f"cone order must be an int >= 2, got {m!r}")
-    if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= m - 1:
-        raise DomainError(f"rotation index must satisfy 1 <= j <= m-1, got {j!r}")
 
 
 def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:

@@ -106,29 +106,22 @@ def verify_table1(max_order: int = 12) -> list:
 
     Parameterized rows are instantiated for all orders up to max_order.
     """
+    rows = list(TABLE1_FIXED)
+    orders = range(2, max_order + 1)
+    for template, formula in TABLE1_FAMILIES:
+        if "{n}" in template:
+            rows.extend(
+                (template.format(m=m, n=n), formula(m, n))
+                for m in orders
+                for n in range(m, max_order + 1)
+            )
+        else:
+            rows.extend((template.format(m=m), formula(m)) for m in orders)
     report = []
-    for notation, expected in TABLE1_FIXED:
+    for notation, expected in rows:
         computed = degree_zero_term(parse(notation))
         if computed != expected:
             report.append(_mismatch(1, notation, "deg0", expected, computed))
-    for template, formula in TABLE1_FAMILIES:
-        two_params = "{n}" in template
-        for m in range(2, max_order + 1):
-            if two_params:
-                for n in range(m, max_order + 1):
-                    notation = template.format(m=m, n=n)
-                    computed = degree_zero_term(parse(notation))
-                    expected = formula(m, n)
-                    if computed != expected:
-                        report.append(
-                            _mismatch(1, notation, "deg0", expected, computed)
-                        )
-            else:
-                notation = template.format(m=m)
-                computed = degree_zero_term(parse(notation))
-                expected = formula(m)
-                if computed != expected:
-                    report.append(_mismatch(1, notation, "deg0", expected, computed))
     return report
 
 

@@ -1,42 +1,23 @@
-"""Closed forms for the cosecant power sums over m-th roots of unity.
+"""Direct numeric cosecant power sums over m-th roots of unity.
 
-The two sums that feed cone and corner contributions to heat coefficients:
+The two sums that feed cone and corner contributions to heat coefficients
+have the closed forms
 
     sum_{j=1}^{m-1} csc^2(pi j / m) = (m^2 - 1) / 3
     sum_{j=1}^{m-1} csc^4(pi j / m) = (m^4 + 10 m^2 - 11) / 45
 
-Closed forms are exact rationals; cosecant_sum_numeric is the independent
-floating-point route used to cross-check them (direct term-by-term
-summation, no closed form involved).
+which heat.c_ratio and heat._singular_degree_one_sum use.
+cosecant_sum_numeric is the independent floating-point route used to
+cross-check them (direct term-by-term summation, no closed form involved).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of the function."""
-
-
-def _check_m(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise DomainError(f"m must be an int, got {m!r}")
-    if m < 1:
-        raise DomainError(f"m must be >= 1, got {m}")
-
-
-def cosecant2_sum(m: int) -> Fraction:
-    """Exact value of sum_{j=1}^{m-1} csc^2(pi j / m); zero when m = 1."""
-    _check_m(m)
-    return Fraction(m * m - 1, 3)
-
-
-def cosecant4_sum(m: int) -> Fraction:
-    """Exact value of sum_{j=1}^{m-1} csc^4(pi j / m); zero when m = 1."""
-    _check_m(m)
-    return Fraction(m**4 + 10 * m * m - 11, 45)
 
 
 def cosecant_sum_numeric(m: int, power: int) -> float:
@@ -47,7 +28,10 @@ def cosecant_sum_numeric(m: int, power: int) -> float:
     symmetry sin(pi j / m) = sin(pi (m - j) / m) so that terms near j = m-1
     do not lose accuracy to cancellation in pi - pi*j/m.
     """
-    _check_m(m)
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise DomainError(f"m must be an int, got {m!r}")
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
     if power not in (2, 4):
         raise DomainError(f"power must be 2 or 4, got {power}")
     terms = (

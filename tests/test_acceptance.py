@@ -42,6 +42,7 @@ from orbheat.flat import (
 )
 from orbheat.heat import (
     MetricData,
+    coefficient_one,
     full_expansion,
     has_half_integer_terms,
     spectral_c,
@@ -49,7 +50,7 @@ from orbheat.heat import (
 from orbheat.notation import parse, render
 from orbheat.signature import OrbifoldSignature, euler_characteristic
 from orbheat.tables import TABLE2_FIXED, verify_table1, verify_table2
-from orbheat.trigsums import cosecant2_sum, cosecant4_sum, cosecant_sum_numeric
+from orbheat.trigsums import cosecant_sum_numeric
 
 FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
 
@@ -105,22 +106,40 @@ def test_criterion_02_degree_zero_table_reproduction():
     assert elapsed < 1.0
 
 
+def singular_stratum_sums(m):
+    """(csc^2 sum, csc^4 sum) of order m >= 2 as the program's cone and corner terms give them.
+
+    A cone of order m adds (m^2-1)/m to c - 2 chi and K (m^4+10m^2-11)/(360m)
+    to the degree-1 coefficient; a corner adds half of each.
+    """
+    sphere = OrbifoldSignature()
+    unit = MetricData(1, 4 * math.pi)
+    out = []
+    for sig, weight in (
+        (OrbifoldSignature(cone_points=(m,)), m),
+        (OrbifoldSignature(mirror_boundaries=((m,),)), 2 * m),
+    ):
+        csc2 = weight * (spectral_c(sig) - 2 * euler_characteristic(sig)) / 3
+        csc4 = 8 * weight * (coefficient_one(sig, unit) - coefficient_one(sphere, unit))
+        out += [(csc2, 2), (csc4, 4)]
+    return out
+
+
 def test_criterion_03_trig_identities():
     started = time.monotonic()
     worst = 0.0
-    for m in range(1, 501):
-        for closed, power in ((cosecant2_sum(m), 2), (cosecant4_sum(m), 4)):
+    # the numeric sums are empty at m = 1, which has no cone or corner
+    assert cosecant_sum_numeric(1, 2) == cosecant_sum_numeric(1, 4) == 0.0
+    for m in range(2, 501):
+        for closed, power in singular_stratum_sums(m):
             numeric = cosecant_sum_numeric(m, power)
-            if closed == 0:
-                assert numeric == 0.0
-                continue
             rel = abs(numeric - float(closed)) / float(closed)
             worst = max(worst, rel)
             assert rel <= 1e-9, f"m={m} power={power} rel={rel:.3e}"
     elapsed = time.monotonic() - started
     ok = elapsed < 5.0
-    report(3, "cosecant power sums match closed forms to 1e-9", ok, elapsed,
-           extra=f"worst rel err {worst:.2e}")
+    report(3, "cosecant power sums match the cone and corner terms of c and degree 1 to 1e-9",
+           ok, elapsed, extra=f"worst rel err {worst:.2e}")
     assert elapsed < 5.0
 
 

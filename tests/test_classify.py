@@ -7,8 +7,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbheat.classify import (
+    PILLOW_ORDER_LIMIT,
     AmbiguousZero,
     ClassKind,
     CollisionPair,
@@ -30,7 +33,7 @@ from orbheat.classify import (
 )
 from orbheat.heat import HeatExpansion, MetricData, full_expansion, spectral_c
 from orbheat.notation import parse, render
-from orbheat.signature import euler_characteristic
+from orbheat.signature import OrbifoldSignature, euler_characteristic
 
 
 def teardrops(bound):
@@ -475,19 +478,19 @@ class TestPillowNegativeVsRest:
             (Fraction(461, 42), "2,3,7"),
         ]
         for c_value, expected in cases:
-            sep = pillow_negative_vs_rest(c_value, bound=100)
+            sep = pillow_negative_vs_rest(c_value)
             assert sep.distinguished
             assert render(sep.negative_member) == expected
             assert sep.positive_member is None
 
     def test_positive_attainment_only(self):
-        sep = pillow_negative_vs_rest(Fraction(43, 6), bound=100)
+        sep = pillow_negative_vs_rest(Fraction(43, 6))
         assert sep.distinguished
         assert sep.negative_member is None
         assert render(sep.positive_member) == "2,3,3"
 
     def test_unattained_value(self):
-        sep = pillow_negative_vs_rest(Fraction(0), bound=100)
+        sep = pillow_negative_vs_rest(Fraction(0))
         assert sep.distinguished
         assert sep.negative_member is None
         assert sep.positive_member is None
@@ -496,7 +499,7 @@ class TestPillowNegativeVsRest:
         # c(2,2,m) = 3 + m + 1/m sits on the chi > 0 side for every m
         for m in range(2, 101):
             c_value = Fraction(3) + Fraction(m) + Fraction(1, m)
-            sep = pillow_negative_vs_rest(c_value, bound=100)
+            sep = pillow_negative_vs_rest(c_value)
             assert sep.distinguished
             assert sep.negative_member is None
 
@@ -504,10 +507,61 @@ class TestPillowNegativeVsRest:
         for sig in enumerate_class(pillows(20)):
             if euler_characteristic(sig) >= 0:
                 continue
-            sep = pillow_negative_vs_rest(spectral_c(sig), bound=None)
+            sep = pillow_negative_vs_rest(spectral_c(sig))
             assert sep.distinguished
             assert sep.negative_member is not None
             assert spectral_c(sep.negative_member) == spectral_c(sig)
+
+    def test_matches_brute_force_on_every_small_order_c(self):
+        # A pillow has c = S - 2 + h with h = 1/p+1/q+1/r in (0, 3/2], so
+        # every triple attaining c has its order sum S in [c+1/2, c+2).  The
+        # c values of orders <= 40 stay below 120, so all triples with
+        # S <= 122 and all teardrops up to 120 decide them.
+        def pillow_c(p, q, r):
+            return Fraction(p + q + r - 2) + Fraction(1, p) + Fraction(1, q) + Fraction(1, r)
+
+        negative, positive = {}, {}
+        for total in range(6, 123):
+            for p in range(2, total // 3 + 1):
+                for q in range(p, (total - p) // 2 + 1):
+                    c_value = pillow_c(p, q, total - p - q)
+                    if c_value.denominator != 1:  # an integer c means h = 1, chi = 0
+                        side = negative if c_value < total - 1 else positive  # h < 1 or h > 1
+                        side.setdefault(c_value, (p, q, total - p - q))
+        for m in range(2, 121):
+            positive[Fraction(m + 2) + Fraction(1, m)] = (m,)
+        attained = {pillow_c(p, q, r) for p in range(2, 41) for q in range(p, 41) for r in range(q, 41)}
+        attained.update(Fraction(m + 2) + Fraction(1, m) for m in range(2, 41))
+        for c_value in attained:
+            sep = pillow_negative_vs_rest(c_value)
+            neg, pos = negative.get(c_value), positive.get(c_value)
+            assert sep.negative_member == (None if neg is None else OrbifoldSignature(cone_points=neg))
+            assert sep.positive_member == (None if pos is None else OrbifoldSignature(cone_points=pos))
+            assert sep.distinguished == (neg is None or pos is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(st.integers(2, 10_000), min_size=3, max_size=3),
+            st.lists(st.integers(2, 10**9), min_size=1, max_size=1),
+        )
+    )
+    def test_member_on_its_chi_side_has_the_same_c(self, orders):
+        sig = OrbifoldSignature(cone_points=tuple(orders))
+        c_value = spectral_c(sig)
+        sep = pillow_negative_vs_rest(c_value)
+        chi = euler_characteristic(sig)
+        if chi == 0:
+            assert (sep.negative_member, sep.positive_member) == (None, None)
+            return
+        member = sep.negative_member if chi < 0 else sep.positive_member
+        assert member is not None
+        assert spectral_c(member) == c_value
+
+    def test_first_order_range_is_capped(self):
+        # h = 1e-7 leaves first orders 10^7+1 .. 2*10^7 to try
+        with pytest.raises(ValueError, match=str(PILLOW_ORDER_LIMIT)):
+            pillow_negative_vs_rest(Fraction(600000000000001, 10000000))
 
 
 class TestSphHypLhs:

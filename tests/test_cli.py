@@ -377,16 +377,53 @@ class TestUsageErrors:
         assert "--model" in out
 
 
-@pytest.mark.parametrize("module", ["orbheat", "orbheat.cli"])
-def test_module_entry_points(module):
+def run_python(*args):
+    """Run a fresh interpreter with this checkout's orbheat on its path."""
     src = str(Path(orbheat.cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-m", module, "c", "2,3,5"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+@pytest.mark.parametrize("module", ["orbheat", "orbheat.cli"])
+def test_module_entry_points(module):
+    result = run_python("-m", module, "c", "2,3,5")
     assert (result.returncode, result.stdout, result.stderr) == (0, "271/30\n", "")
+
+
+def test_c_does_not_import_numpy():
+    code = (
+        "import sys, orbheat.cli; code = orbheat.cli.run(['c', '2,3,5']); "
+        "print(code, 'numpy' in sys.modules)"
+    )
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (0, "271/30\n0 False\n")
+
+
+def test_pillow_negative_at_large_c_is_fast():
+    start = time.perf_counter()
+    result = run_python(
+        "-m", "orbheat", "classify", "--class", "pillow-negative",
+        "--c-value", "8001/2", "--format", "json",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert result.returncode == 0
+    assert json.loads(result.stdout) == {
+        "distinguished": True,
+        "negative_member": None,
+        "positive_member": None,
+    }
+
+
+def test_pillow_negative_oversized_search_exits_one_quickly():
+    # h = 1e-7 would leave 10^7 first orders to try
+    start = time.perf_counter()
+    result = run_python(
+        "-m", "orbheat", "classify", "--class", "pillow-negative",
+        "--c-value", "600000000000001/10000000",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "1000000" in result.stderr

@@ -19,9 +19,6 @@ from orbheat.heat import (
     coefficient_minus_half,
     coefficient_minus_one,
     coefficient_one,
-    cone_I0,
-    cone_b0,
-    cone_b1,
     degree_zero_term,
     full_expansion,
     has_half_integer_terms,
@@ -29,7 +26,6 @@ from orbheat.heat import (
 )
 from orbheat.notation import parse
 from orbheat.signature import OrbifoldSignature, euler_characteristic
-from orbheat.trigsums import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -164,29 +160,57 @@ def test_smooth_degree_one_matches_symbolic_result():
 
 
 # === Cone-point local data ===
+#
+# The rotation kernel gives each rotation j of a cone of order m the
+# weight b0 = 1/(4 sin^2(pi j/m)) at degree 0 and b1 = K/(8 sin^4(pi j/m))
+# at degree 1.  Their sums I0 and I1 over j reach the program only through
+# the cone's terms: I0 = m (c - 2 chi)/12 and I1 = m times the cone's
+# share of coefficient_one.
+
+UNIT_SPHERE = MetricData(1, 4 * math.pi)
+
+
+def cone_I0(m):
+    """Sum of b0 over the rotations, as c and chi give it; 0 for the order-1 (smooth) point."""
+    s = sig(cones=(m,) if m > 1 else ())
+    return m * (spectral_c(s) - 2 * euler_characteristic(s)) / 12
+
+
+def cone_I1(m, metric):
+    """Sum of b1 over the rotations, as coefficient_one gives it."""
+    return m * (coefficient_one(sig(cones=(m,)), metric) - coefficient_one(sig(), metric))
+
 
 def test_cone_b0_goldens():
-    assert cone_b0(2, 1) == 0.25
-    assert cone_b0(4, 2) == pytest.approx(0.25, abs=1e-15)
-    assert cone_b0(3, 1) == pytest.approx(1.0 / 3.0, abs=1e-15)
-    assert cone_b0(3, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # rotations whose sines are known exactly: sin^2 = 1/4, 1/2, 3/4, 1
+    exact = {
+        2: [Fraction(1, 4)],
+        3: [Fraction(1, 3)] * 2,
+        4: [Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)],
+        6: [1, Fraction(1, 3), Fraction(1, 4), Fraction(1, 3), 1],
+    }
+    for m, weights in exact.items():
+        for j, b0 in enumerate(weights, start=1):
+            assert 1.0 / (4.0 * math.sin(math.pi * j / m) ** 2) == pytest.approx(b0, rel=1e-15)
+        assert sum(weights) == cone_I0(m)
 
 
 def test_cone_b1_goldens():
-    assert cone_b1(2, 1, 1) == pytest.approx(0.125, abs=1e-15)
-    assert cone_b1(3, 1, 1) == pytest.approx(2.0 / 9.0, abs=1e-15)
+    exact = {
+        2: [Fraction(1, 8)],
+        3: [Fraction(2, 9)] * 2,
+        4: [Fraction(1, 2), Fraction(1, 8), Fraction(1, 2)],
+    }
+    for m, weights in exact.items():
+        for j, b1 in enumerate(weights, start=1):
+            assert 1.0 / (8.0 * math.sin(math.pi * j / m) ** 4) == pytest.approx(b1, rel=1e-15)
+        assert cone_I1(m, UNIT_SPHERE) == pytest.approx(sum(weights), rel=1e-13)
+    flat = MetricData(0, 1.0)
+    negative = MetricData(-2.0, 1.0)
     for m in range(2, 12):
-        for j in range(1, m):
-            assert cone_b1(m, j, 0) == 0.0
-    assert cone_b1(5, 2, -2.0) == pytest.approx(-2.0 / (8 * math.sin(2 * math.pi / 5) ** 4))
-
-
-@pytest.mark.parametrize("m,j", [(1, 1), (2, 0), (2, 2), (3, -1), (5, 5), (0, 1)])
-def test_cone_locals_domain_errors(m, j):
-    with pytest.raises(DomainError):
-        cone_b0(m, j)
-    with pytest.raises(DomainError):
-        cone_b1(m, j, 1.0)
+        assert cone_I1(m, flat) == 0.0
+        total = math.fsum(-2.0 / (8 * math.sin(math.pi * j / m) ** 4) for j in range(1, m))
+        assert cone_I1(m, negative) == pytest.approx(total, rel=1e-12)
 
 
 def test_cone_I0_goldens():
@@ -198,7 +222,7 @@ def test_cone_I0_goldens():
 
 @pytest.mark.parametrize("m", list(range(2, 60)) + [120, 250, 499, 500])
 def test_cone_I0_equals_b0_sum(m):
-    total = math.fsum(cone_b0(m, j) for j in range(1, m))
+    total = math.fsum(1.0 / (4.0 * math.sin(math.pi * min(j, m - j) / m) ** 2) for j in range(1, m))
     assert abs(total - float(cone_I0(m))) <= 1e-9 * (1.0 + float(cone_I0(m)))
 
 

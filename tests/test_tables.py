@@ -179,6 +179,18 @@ class TestMismatchReporting:
             assert record["table"] == 2
             assert record["notation"] == "2,2,2"
 
+    def test_family_rows_are_reported_after_fixed_rows(self, monkeypatch):
+        doctored = (("2,3,5", Fraction(1, 2)),) + tuple(TABLE1_FIXED[1:])
+        monkeypatch.setattr(orbheat.tables, "TABLE1_FIXED", doctored)
+        families = tuple(
+            (template, (lambda *orders: Fraction(0)) if template in ("{m}", "{m},{n}") else formula)
+            for template, formula in TABLE1_FAMILIES
+        )
+        monkeypatch.setattr(orbheat.tables, "TABLE1_FAMILIES", families)
+        report = verify_table1(max_order=3)
+        assert [r["notation"] for r in report] == ["2,3,5", "2", "3", "2,2", "2,3", "3,3"]
+        assert {r["expected"] for r in report[1:]} == {"0"}
+
     def test_reports_are_strings_for_serialization(self, monkeypatch):
         doctored = (("2,3,3", Fraction(999),),) + tuple(TABLE1_FIXED[1:])
         monkeypatch.setattr(orbheat.tables, "TABLE1_FIXED", doctored)
