@@ -59,7 +59,8 @@ _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 # Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
 # c, so this caps the scan's memory (a few hundred MB) and run time (seconds).
 # `classify --class pillow-negative` is capped the same way, by
-# classify.PILLOW_ORDER_LIMIT; both limits are fixed, not options.
+# classify.PILLOW_ORDER_LIMIT, and the flat-model multiplicity oracle by
+# flat.MULTIPLICITY_SHELL_LIMIT; all three limits are fixed, not options.
 SCAN_MEMBER_LIMIT = 1_000_000
 
 

@@ -5,7 +5,12 @@ translation lattice Z^2 together with up to two point symmetries, so its
 Laplace spectrum sits inside the square-torus spectrum {4 pi^2 (k^2+l^2)}
 and the heat trace has a closed form in the one-dimensional theta sum
 
-    theta1(t) = sum_{k in Z} exp(-4 pi^2 k^2 t).
+    theta1(t) = sum_{k in Z} exp(-4 pi^2 k^2 t)
+              = (4 pi t)^(-1/2) sum_{k in Z} exp(-k^2 / (4t))    (Jacobi).
+
+theta1 sums the direct series for t >= 1/(4 pi), where the two exponents
+are equal, and the dual one below, so at every t > 0 it needs at most 4
+terms at the default tolerance and 16 at the tightest one.
 
 model         quotient map              area  mirror length  trace
 torus         identity                   1        0          theta1^2
@@ -24,6 +29,7 @@ spectrum.
 from __future__ import annotations
 
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
@@ -97,52 +103,83 @@ _MODEL_DECK = {
 }
 
 _FOUR_PI_SQ = 4.0 * math.pi * math.pi
+_SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
+# Below this t, where the exponents 4 pi^2 t and 1/(4t) are equal, theta1
+# sums Jacobi's dual series instead of the direct one.
+_DUAL_BELOW = 1.0 / (4.0 * math.pi)
 
 
 def theta1(t: float, eps: float = 1e-15) -> float:
     """One-dimensional lattice sum sum_{k in Z} exp(-4 pi^2 k^2 t).
 
-    Truncated as soon as the first omitted term drops below eps times the
-    current partial sum; terms are positive and strictly decreasing in k,
-    so the truncation error is bounded by a geometric tail of comparable
-    size.
+    Both this series and Jacobi's dual form
+
+        theta1(t) = (4 pi t)^(-1/2) sum_{k in Z} exp(-k^2 / (4t))
+
+    are sums of exp(-a k^2); the loop sums the direct one (a = 4 pi^2 t)
+    for t >= 1/(4 pi) and the dual one (a = 1/(4t)) below, so a >= pi
+    and the terms fall at least as fast as exp(-pi k^2): at every t > 0
+    the loop runs at most 4 times at the default eps and 16 at any eps.
+    The sum is truncated as soon as a bound on the whole omitted tail
+    drops below eps times the current partial sum.
     """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"t must be finite and > 0, got {t!r}")
     if not 0 < eps < 1:
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
-    a = _FOUR_PI_SQ * t
+    if t >= _DUAL_BELOW:
+        a, scale = _FOUR_PI_SQ * t, 1.0
+    else:
+        # sqrt(t) * sqrt(4 pi) rather than sqrt(4 pi t): at subnormal t
+        # the product 4 pi t would lose digits before the root.
+        a, scale = 0.25 / t, math.sqrt(t) * _SQRT_FOUR_PI
     total = 1.0
     k = 1
     while True:
         term = 2.0 * math.exp(-a * k * k)
         # The whole remaining tail is a sub-geometric series with ratio
         # at most exp(-a(2k+1)); stop only once the tail bound, not just
-        # the next term, is below eps times the sum so far.  At small t
-        # the ratio is close to 1 and the first-term test alone would
-        # leave a tail tens of times larger than eps.
+        # the next term, is below eps times the sum so far.
         tail_bound = term / -math.expm1(-a * (2 * k + 1))
         if tail_bound <= eps * total:
-            return total
+            return total / scale
         total += term
         k += 1
 
 
 def heat_trace(model: FlatModel, t: float) -> float:
-    """Exact heat trace of the model at time t, via the closed theta forms."""
+    """Exact heat trace of the model at time t, via the closed theta forms.
+
+    Raises ValueError where the trace, about area / (4 pi t), exceeds the
+    largest float: below t ~ 1e-309.
+    """
     th = theta1(t)
     if model is FlatModel.TORUS:
-        return th * th
-    if model is FlatModel.KLEIN_BOTTLE:
-        return theta1(4.0 * t) + (th * th - th) / 2.0
-    if model is FlatModel.PILLOWCASE:
-        return (th * th + 1.0) / 2.0
-    if model is FlatModel.SQUARE:
+        value = th * th
+    elif model is FlatModel.KLEIN_BOTTLE:
+        # 4t overflows only where theta1 is 1.0 at both t and 4t.
+        value = theta1(min(4.0 * t, sys.float_info.max)) + (th * th - th) / 2.0
+    elif model is FlatModel.PILLOWCASE:
+        value = (th * th + 1.0) / 2.0
+    elif model is FlatModel.SQUARE:
         half = (th + 1.0) / 2.0
-        return half * half
-    if model is FlatModel.MIRROR_TORUS:
-        return (th * th + th) / 2.0
-    raise ValueError(f"unknown model {model!r}")
+        value = half * half
+    elif model is FlatModel.MIRROR_TORUS:
+        value = (th * th + th) / 2.0
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    if math.isinf(value):
+        raise ValueError(
+            f"the {model.value} heat trace at t = {t!r} exceeds the largest float"
+        )
+    return value
+
+
+# Largest shell index n = cutoff / (4 pi^2) the multiplicity oracle accepts.
+# Its double loop visits about 4n lattice points, so this cap keeps one
+# call to seconds (the Klein bottle: about 4 s at the cap); it is fixed,
+# not an option.
+MULTIPLICITY_SHELL_LIMIT = 100_000
 
 
 def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
@@ -153,10 +190,17 @@ def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
     linear part fixes it, and then contributes the exact phase
     cos(2 pi (k, l) . b) which is +-1 for half-integer translations.
     All arithmetic is exact, so the averaged counts are exact integers.
+    Raises ValueError when the cutoff reaches past shell
+    MULTIPLICITY_SHELL_LIMIT.
     """
     if not (cutoff > 0) or not math.isfinite(cutoff):
         raise ValueError(f"cutoff must be finite and > 0, got {cutoff!r}")
     nmax = int(cutoff / _FOUR_PI_SQ)
+    if nmax > MULTIPLICITY_SHELL_LIMIT:
+        raise ValueError(
+            f"cutoff {cutoff!r} reaches past shell {MULTIPLICITY_SHELL_LIMIT}, "
+            "the multiplicity oracle's limit"
+        )
     kmax = math.isqrt(nmax)
     deck = _MODEL_DECK[model]
     order = len(deck)

@@ -402,6 +402,25 @@ def test_c_does_not_import_numpy():
     assert (result.returncode, result.stdout) == (0, "271/30\n0 False\n")
 
 
+@pytest.mark.parametrize("t", ["1e-300", "1e308"])
+def test_trace_at_extreme_t_is_fast(t):
+    start = time.perf_counter()
+    result = run_python("-m", "orbheat", "trace", "--model", "klein", "--t", t)
+    assert time.perf_counter() - start < 2.0
+    assert (result.returncode, result.stderr) == (0, "")
+    value = float(result.stdout)
+    assert math.isfinite(value) and value > 0
+
+
+def test_trace_past_float_range_exits_one_quickly():
+    # At t = 5e-324 the Klein trace is about 8e321, beyond the largest float
+    start = time.perf_counter()
+    result = run_python("-m", "orbheat", "trace", "--model", "klein", "--t", "5e-324")
+    assert time.perf_counter() - start < 2.0
+    assert (result.returncode, result.stdout) == (1, "")
+    assert "largest float" in result.stderr
+
+
 def test_pillow_negative_at_large_c_is_fast():
     start = time.perf_counter()
     result = run_python(

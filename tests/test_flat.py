@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import orbheat.flat
 from orbheat.flat import (
     FlatModel,
     IllConditioned,
@@ -44,12 +49,47 @@ def test_theta_poisson_limit():
     assert abs(theta1(1e-6) * math.sqrt(4 * math.pi * 1e-6) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("t", [1e-6, 1e-3, 0.05, 0.3, 2.0])
+@pytest.mark.parametrize("t", [1e-12, 1e-6, 1e-3, 0.05, 0.0795, 0.0797, 0.3, 2.0])
 @pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
 def test_theta_truncation_soundness(t, eps):
     coarse = theta1(t, eps)
     fine = theta1(t, eps / 2)
     assert abs(coarse - fine) < eps * coarse
+
+
+def theta_reference(t):
+    """40-digit theta1(t) from mpmath's Jacobi theta_3 at nome exp(-4 pi^2 t).
+
+    Below t = 0.01 the nome is close to 1, so the reference switches to
+    Jacobi's dual nome exp(-1/(4t)); the switch sits away from theta1's own
+    so that both of its forms are checked against the other near 1/(4 pi).
+    """
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        if t >= mpmath.mpf("0.01"):
+            return mpmath.jtheta(3, 0, mpmath.exp(-4 * mpmath.pi**2 * t))
+        dual = mpmath.jtheta(3, 0, mpmath.exp(-1 / (4 * t)))
+        return dual / mpmath.sqrt(4 * mpmath.pi * t)
+
+
+_SWITCH = 1 / (4 * math.pi)
+
+
+# t log-uniform over [1e-300, 1e3]
+LOG_UNIFORM_T = st.floats(min_value=-300, max_value=3).map(lambda x: 10.0**x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=LOG_UNIFORM_T)
+@example(t=5e-324)
+@example(t=4.9e-314)
+@example(t=_SWITCH * (1 - 1e-12))
+@example(t=_SWITCH * (1 + 1e-12))
+def test_theta_matches_mpmath_reference(t):
+    reference = theta_reference(t)
+    with mpmath.workdps(40):
+        rel_err = abs((mpmath.mpf(theta1(t)) - reference) / reference)
+    assert rel_err <= 1e-14, (t, float(rel_err))
 
 
 def test_theta_rejects_bad_arguments():
@@ -93,6 +133,16 @@ def test_trace_large_t_limits():
     # Every model keeps exactly one zero mode.
     for model in ALL_MODELS:
         assert heat_trace(model, 10.0) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_trace_at_extreme_t(model):
+    # Finite down to t = 1e-309, where the trace is about area / (4 pi t)
+    leading = float(model.area) / (4 * math.pi) / 1e-309
+    assert heat_trace(model, 1e-309) == pytest.approx(leading, rel=1e-15)
+    assert heat_trace(model, 1e308) == 1.0
+    with pytest.raises(ValueError, match="largest float"):
+        heat_trace(model, 5e-324)
 
 
 def test_square_trace_matches_predicted_asymptote():
@@ -179,6 +229,22 @@ def test_brute_force_agrees_with_closed_form(model, t):
     closed = heat_trace(model, t)
     brute = brute_force_trace(model, t, 80 * math.pi**2)
     assert abs(closed - brute) < 1e-10
+
+
+def test_oversized_oracle_cutoff_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="100000"):
+        brute_force_trace(FlatModel.TORUS, 0.1, 1e300)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_shell_limit_is_inclusive(monkeypatch):
+    cutoff = 29.5 * SHELL  # shells n <= 29 = 5^2 + 2^2
+    monkeypatch.setattr(orbheat.flat, "MULTIPLICITY_SHELL_LIMIT", 29)
+    assert max(eigenvalue_multiplicities(FlatModel.TORUS, cutoff)) == 29
+    monkeypatch.setattr(orbheat.flat, "MULTIPLICITY_SHELL_LIMIT", 28)
+    with pytest.raises(ValueError, match="28"):
+        eigenvalue_multiplicities(FlatModel.TORUS, cutoff)
 
 
 # === Samples container ===
