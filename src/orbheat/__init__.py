@@ -25,7 +25,6 @@ from .classify import (
     pillow_negative_vs_rest,
     positive_vs_zero_chi,
     roster_size,
-    sph_hyp_lhs,
     spherical_distinguish,
     unit_sphere_mirror_length,
 )
@@ -75,6 +74,5 @@ from .signature import (
     signature_to_json,
 )
 from .tables import verify_table1, verify_table2
-from .trigsums import DomainError, cosecant_sum_numeric
 
 __version__ = "0.1.0"

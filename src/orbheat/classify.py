@@ -290,20 +290,6 @@ def pillow_negative_vs_rest(c_value) -> PillowSeparation:
     return PillowSeparation(negative is None or positive is None, negative, positive)
 
 
-def sph_hyp_lhs(p: int, q: int, r: int) -> int:
-    """2pqr + pr(p+r-5) + pq(p+q-5) + qr(q+r-5).
-
-    Positive for every chi<0 order triple; this is the quantity whose
-    positivity powers the pillow separation argument.
-    """
-    return (
-        2 * p * q * r
-        + p * r * (p + r - 5)
-        + p * q * (p + q - 5)
-        + q * r * (q + r - 5)
-    )
-
-
 def curvature_sign(expansion: HeatExpansion, abs_K, sig: OrbifoldSignature) -> CurvatureSign:
     """Recover the sign of the constant curvature +-abs_K from an expansion.
 

@@ -23,9 +23,9 @@ The singular-point contributions come from averaging the rotation kernel
 over the local isotropy group: a cone of order m adds (1/m) times the
 cosecant sums sum_j csc^2(pi j/m) / 4 at degree 0 and K sum_j csc^4(pi j/m) / 8
 at degree 1, and a corner adds half of what a cone of its order adds.
-Their closed forms live in c_ratio and _singular_degree_one_sum alone;
-trigsums.cosecant_sum_numeric sums the cosecants term by term, and the
-tests compare the two.
+Their closed forms live in the weights _c_weight and _degree_one_weight
+alone, which signature.stratum_ratio sums over the strata; the tests
+compare them with the cosecants summed term by term.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .signature import (
     euler_characteristic,
     rational_from_json,
     rational_to_json,
+    stratum_ratio,
 )
 
 DEGREES = (
@@ -109,6 +110,10 @@ class MetricData:
         return 2.0 * float(self.curvature) * float(self.mirror_length)
 
 
+def _c_weight(m: int) -> int:
+    return (m - 1) ** 2
+
+
 def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:
     """The spectral constant c as a reduced (numerator, denominator) int pair.
 
@@ -121,17 +126,8 @@ def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:
     crosscaps leaves c unchanged, so the counts need not be normalized.
     The denominator is positive.
     """
-    num = 4 - 4 * handles - 2 * crosscaps - 2 * len(boundaries)
-    den = 1
-    for m in cones:
-        num = num * m + (m - 1) ** 2 * den
-        den *= m
-    for corners in boundaries:
-        for n in corners:
-            num = num * 2 * n + (n - 1) ** 2 * den
-            den *= 2 * n
-    g = math.gcd(num, den)
-    return num // g, den // g
+    base = 4 - 4 * handles - 2 * crosscaps - 2 * len(boundaries)
+    return stratum_ratio(base, cones, boundaries, _c_weight)
 
 
 def spectral_c(sig: OrbifoldSignature) -> Fraction:
@@ -158,13 +154,13 @@ def coefficient_half(metric: MetricData) -> float:
     return metric.curvature_over_mirror() / (64.0 * math.sqrt(math.pi))
 
 
+def _degree_one_weight(m: int) -> int:
+    return m**4 + 10 * m * m - 11
+
+
 def _singular_degree_one_sum(sig: OrbifoldSignature) -> Fraction:
-    total = Fraction(0)
-    for m in sig.cone_points:
-        total += Fraction(m**4 + 10 * m * m - 11, 360 * m)
-    for n in sig.corner_orders:
-        total += Fraction(n**4 + 10 * n * n - 11, 720 * n)
-    return total
+    ratio = stratum_ratio(0, sig.cone_points, sig.mirror_boundaries, _degree_one_weight)
+    return Fraction(*ratio) / 360
 
 
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:

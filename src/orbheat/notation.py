@@ -61,6 +61,7 @@ ALIASES = {
 
 _SEPARATORS = " \t\r\n,"
 _CROSSES = "x×"
+_DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts "²" and "٣"
 _WRAPPER = re.compile(r"^[Oo]?\s*\((.*)\)\s*$", re.S)
 
 
@@ -81,9 +82,9 @@ def _tokenize(text: str, offset: int):
         elif ch in _CROSSES or ch == "X":
             tokens.append(("cross", 0, offset + i))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             value = int(text[i:j])
             if value < 2:

@@ -10,12 +10,13 @@ the rational Euler characteristic, and the structural predicates
 Euler characteristic bookkeeping: a handle costs 2, a crosscap costs 1, a
 mirror boundary component costs 1, a cone point of order m costs (m-1)/m,
 and a corner reflector of order n costs (n-1)/(2n); chi is 2 minus the
-total.  All of it is exact rational arithmetic so invariants built from chi
-stay exact.
+total.  chi, the spectral constant c and the degree-1 cone/corner sum are
+each one exact call of stratum_ratio, the one walk over the strata.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -32,11 +33,11 @@ class GeometryType(Enum):
     BAD_POSITIVE = "BadPositive"
 
 
-def _check_order(value, what):
+def _check_int(value, what, minimum):
     if not isinstance(value, int) or isinstance(value, bool):
-        raise SignatureError(f"{what} order must be an int, got {value!r}")
-    if value < 2:
-        raise SignatureError(f"{what} order must be >= 2, got {value}")
+        raise SignatureError(f"{what} must be an int, got {value!r}")
+    if value < minimum:
+        raise SignatureError(f"{what} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,13 @@ class OrbifoldSignature:
     mirror_boundaries: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.handles < 0 or self.crosscaps < 0:
-            raise SignatureError("handle and crosscap counts must be >= 0")
+        _check_int(self.handles, "handle count", 0)
+        _check_int(self.crosscaps, "crosscap count", 0)
         for m in self.cone_points:
-            _check_order(m, "cone point")
+            _check_int(m, "cone point order", 2)
         for component in self.mirror_boundaries:
             for n in component:
-                _check_order(n, "corner reflector")
+                _check_int(n, "corner reflector order", 2)
         handles, crosscaps = self.handles, self.crosscaps
         if handles > 0 and crosscaps > 0:
             crosscaps += 2 * handles
@@ -95,17 +96,32 @@ class OrbifoldSignature:
         return bool(self.mirror_boundaries)
 
 
+def stratum_ratio(base: int, cones, boundaries, weight) -> tuple:
+    """The reduced (num, den) int pair of base + sum weight(m)/m + sum weight(n)/(2n).
+
+    m runs over cones, n over the corner orders in boundaries (one sequence
+    per boundary); weight maps an order to an int.  den is positive.
+    """
+    num, den = base, 1
+    for m in cones:
+        num = num * m + weight(m) * den
+        den *= m
+    for corners in boundaries:
+        for n in corners:
+            num = num * 2 * n + weight(n) * den
+            den *= 2 * n
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _chi_weight(m: int) -> int:
+    return 1 - m
+
+
 def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
     """Exact orbifold Euler characteristic."""
-    chi = Fraction(2)
-    chi -= 2 * sig.handles
-    chi -= sig.crosscaps
-    chi -= len(sig.mirror_boundaries)
-    for m in sig.cone_points:
-        chi -= Fraction(m - 1, m)
-    for n in sig.corner_orders:
-        chi -= Fraction(n - 1, 2 * n)
-    return chi
+    base = 2 - 2 * sig.handles - sig.crosscaps - len(sig.mirror_boundaries)
+    return Fraction(*stratum_ratio(base, sig.cone_points, sig.mirror_boundaries, _chi_weight))
 
 
 def is_orientable(sig: OrbifoldSignature) -> bool:

@@ -50,7 +50,7 @@ from orbheat.heat import (
 from orbheat.notation import parse, render
 from orbheat.signature import OrbifoldSignature, euler_characteristic
 from orbheat.tables import TABLE2_FIXED, verify_table1, verify_table2
-from orbheat.trigsums import cosecant_sum_numeric
+from test_trigsums import cosecant_sum_numeric
 
 FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
 

@@ -28,7 +28,6 @@ from orbheat.classify import (
     positive_vs_zero_chi,
     roster_size,
     spherical_distinguish,
-    sph_hyp_lhs,
     unit_sphere_mirror_length,
 )
 from orbheat.heat import HeatExpansion, MetricData, full_expansion, spectral_c
@@ -562,52 +561,6 @@ class TestPillowNegativeVsRest:
         # h = 1e-7 leaves first orders 10^7+1 .. 2*10^7 to try
         with pytest.raises(ValueError, match=str(PILLOW_ORDER_LIMIT)):
             pillow_negative_vs_rest(Fraction(600000000000001, 10000000))
-
-
-class TestSphHypLhs:
-    def test_spot_values(self):
-        assert sph_hyp_lhs(2, 3, 7) == 245
-        assert sph_hyp_lhs(3, 3, 4) == 129
-
-    def test_matches_pairwise_sum_form(self):
-        def pairwise(p, q, r):
-            return (p * q * (p + q - 5) + p * r * (p + r - 5)
-                    + q * r * (q + r - 5) + 2 * p * q * r)
-        for p in range(2, 21):
-            for q in range(p, 21):
-                for r in range(q, 21):
-                    assert sph_hyp_lhs(p, q, r) == pairwise(p, q, r)
-
-    def test_matches_factored_form(self):
-        # pq(p+q-5) + pr(p+r-5) + qr(q+r-5) + 2pqr
-        #   = (pq+pr+qr)(p+q+r-5) - pqr
-        for p in range(2, 16):
-            for q in range(p, 16):
-                for r in range(q, 16):
-                    e2 = p * q + p * r + q * r
-                    assert sph_hyp_lhs(p, q, r) == e2 * (p + q + r - 5) - p * q * r
-
-    def test_positive_on_all_hyperbolic_triples(self):
-        count = 0
-        for p in range(2, 61):
-            for q in range(p, 61):
-                for r in range(q, 61):
-                    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
-                        continue
-                    assert sph_hyp_lhs(p, q, r) > 0
-                    count += 1
-        assert count > 30000
-
-    def test_summands_nonnegative_on_hyperbolic_triples(self):
-        # the smallest two orders of a hyperbolic triple sum to at least 5
-        for p in range(2, 41):
-            for q in range(p, 41):
-                for r in range(q, 41):
-                    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) >= 1:
-                        continue
-                    assert p * q * (p + q - 5) >= 0
-                    assert p * r * (p + r - 5) >= 0
-                    assert q * r * (q + r - 5) >= 0
 
 
 class TestCurvatureSign:

@@ -269,16 +269,32 @@ def test_c_is_twelve_times_degree_zero():
         assert spectral_c(signature) == 12 * degree_zero_term(signature)
 
 
-def reference_c(handles, crosscaps, cones, boundaries):
-    """12 (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)), term by term."""
+# The references below add one Fraction per stratum and share no code with
+# the program's stratum walk.
+
+def reference_chi(handles, crosscaps, cones, boundaries):
+    """2 - 2h - x - b - sum (m-1)/m - sum (n-1)/(2n), term by term."""
     corners = [n for b in boundaries for n in b]
     chi = Fraction(2 - 2 * handles - crosscaps - len(boundaries))
     chi -= sum(Fraction(m - 1, m) for m in cones)
     chi -= sum(Fraction(n - 1, 2 * n) for n in corners)
-    total = chi / 6
+    return chi
+
+
+def reference_c(handles, crosscaps, cones, boundaries):
+    """12 (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)), term by term."""
+    corners = [n for b in boundaries for n in b]
+    total = reference_chi(handles, crosscaps, cones, boundaries) / 6
     total += sum(Fraction(m * m - 1, 12 * m) for m in cones)
     total += sum(Fraction(n * n - 1, 24 * n) for n in corners)
     return 12 * total
+
+
+def reference_degree_one_sum(cones, boundaries):
+    """sum (m^4+10m^2-11)/(360m) + sum (n^4+10n^2-11)/(720n), term by term."""
+    corners = [n for b in boundaries for n in b]
+    total = sum(Fraction(m**4 + 10 * m * m - 11, 360 * m) for m in cones)
+    return total + sum(Fraction(n**4 + 10 * n * n - 11, 720 * n) for n in corners)
 
 
 ORDERS = st.integers(min_value=2, max_value=10**4)
@@ -304,6 +320,22 @@ def test_spectral_c_matches_fraction_reference(handles, crosscaps, cones, bounda
     assert pair == (expected.numerator, expected.denominator)
     assert pair == (c.numerator, c.denominator)
     assert pair[1] > 0 and math.gcd(*pair) == 1
+
+    chi = euler_characteristic(signature)
+    expected_chi = reference_chi(handles, crosscaps, cones, boundaries)
+    assert type(chi) is Fraction
+    assert chi == expected_chi
+    # Degree 1 is K (chi/30 + singular sum) under Gauss-Bonnet; K = sign(chi)
+    # keeps the area 2 pi chi / K positive.
+    if expected_chi != 0:
+        K = 1 if expected_chi > 0 else -1
+        metric = MetricData(
+            K,
+            2.0 * math.pi * float(expected_chi) / K,
+            mirror_length=1.0 if boundaries else 0.0,
+        )
+        expected_one = K * (expected_chi / 30 + reference_degree_one_sum(cones, boundaries))
+        assert full_expansion(signature, metric)[1] == expected_one
 
 
 def test_c_ratio_golden():

@@ -104,6 +104,8 @@ ERROR_CASES = [
     ("2,3,5!", NotationErrorKind.UNKNOWN_CHARACTER, 5),
     ("2;3", NotationErrorKind.UNKNOWN_CHARACTER, 1),
     ("abc", NotationErrorKind.UNKNOWN_CHARACTER, 0),
+    ("2,²", NotationErrorKind.UNKNOWN_CHARACTER, 2),
+    ("2,٣", NotationErrorKind.UNKNOWN_CHARACTER, 2),
 ]
 
 

@@ -251,6 +251,10 @@ def test_equality_ignores_input_order():
     [
         dict(handles=-1),
         dict(crosscaps=-2),
+        dict(handles=True),
+        dict(handles=1.5),
+        dict(crosscaps=0.5),
+        dict(handles="1"),
         dict(cone_points=(1,)),
         dict(cone_points=(0,)),
         dict(cone_points=(2.5,)),
