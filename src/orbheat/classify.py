@@ -103,6 +103,17 @@ def _nonneg_pillows(bound: int):
         yield 0, 0, (3, 3, 3), ()
 
 
+# The seven one-order spherical families, in their roster order for each m.
+_SPHERICAL_FAMILIES = (
+    lambda m: (0, 0, (m, m), ()),
+    lambda m: (0, 0, (2, 2, m), ()),
+    lambda m: (0, 0, (), ((m, m),)),
+    lambda m: (0, 1, (m,), ()),
+    lambda m: (0, 0, (m,), ((),)),
+    lambda m: (0, 0, (), ((2, 2, m),)),
+    lambda m: (0, 0, (2,), ((m,),)),
+)
+
 _SPHERICAL_FIXED = (
     ((2, 3, 3), ()),
     ((2, 3, 4), ()),
@@ -112,6 +123,12 @@ _SPHERICAL_FIXED = (
     ((), ((2, 3, 4),)),
     ((), ((2, 3, 5),)),
 )
+
+
+def _spherical_fixed(bound: int):
+    for cones, boundaries in _SPHERICAL_FIXED:
+        if max((*cones, *(n for c in boundaries for n in c))) <= bound:
+            yield 0, 0, cones, boundaries
 
 
 def _roster(cls: OrbifoldClass):
@@ -133,16 +150,9 @@ def _roster(cls: OrbifoldClass):
         yield 0, 0, (2, 2, 2, 2), ()
     elif kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
         for m in range(2, B + 1):
-            yield 0, 0, (m, m), ()
-            yield 0, 0, (2, 2, m), ()
-            yield 0, 0, (), ((m, m),)
-            yield 0, 1, (m,), ()
-            yield 0, 0, (m,), ((),)
-            yield 0, 0, (), ((2, 2, m),)
-            yield 0, 0, (2,), ((m,),)
-        for cones, boundaries in _SPHERICAL_FIXED:
-            if max((*cones, *(n for c in boundaries for n in c))) <= B:
-                yield 0, 0, cones, boundaries
+            for family in _SPHERICAL_FAMILIES:
+                yield family(m)
+        yield from _spherical_fixed(B)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
 
@@ -162,13 +172,144 @@ def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
     return sum(1 for _ in itertools.islice(_roster(cls), stop))
 
 
+def _teardrop(m: int) -> tuple:
+    return 0, 0, (m,), ()
+
+
+def _one_order(family, c: Fraction, bound: int | None):
+    """The only order m in [2, bound] at which family(m) can have c, or None.
+
+    Every stratum adds (n-1)^2/n or half of it to c, and
+    (m-1)^2/m = m - 2 + 1/m, so a one-order family has c = a + b (m - 2 + 1/m)
+    with b > 0.  As 1/m lies in (0, 1/2], m = floor((c - a) / b) + 2.  At
+    m = 2 and 3, m - 2 + 1/m is 1/2 and 4/3, so c_ratio there gives
+    b = 6/5 (c(3) - c(2)) and a = c(2) - b/2.
+    """
+    c2, c3 = (Fraction(*c_ratio(*family(m))) for m in (2, 3))
+    b = (c3 - c2) * Fraction(6, 5)
+    m = math.floor((c - c2 + b / 2) / b) + 2
+    return m if 2 <= m and (bound is None or m <= bound) else None
+
+
+def _order_pair(total: int, num: int, den: int):
+    """The integers q <= r with q + r = total and 1/q + 1/r = num/den > 0, or None.
+
+    q and r are the roots of x^2 - total x + total den / num.
+    """
+    prod, rem = divmod(total * den, num)
+    disc = total * total - 4 * prod
+    if rem or disc < 0:
+        return None
+    root = math.isqrt(disc)
+    if root * root != disc or (total - root) % 2:
+        return None
+    return (total - root) // 2, (total + root) // 2
+
+
+def _teardrop_football_candidates(c: Fraction, bound: int):
+    m = _one_order(_teardrop, c, bound)
+    if m is not None:
+        yield _teardrop(m)
+    # A football O(r, s) has c = r + s + h with h = 1/r + 1/s in (0, 1], so
+    # h is the fractional part of c, or 1 when c is an integer.
+    h = c - math.floor(c) or Fraction(1)
+    pair = _order_pair(int(c - h), h.numerator, h.denominator)
+    if pair is not None and 2 <= pair[0] and pair[1] <= bound:
+        yield 0, 0, pair, ()
+
+
+# Largest number of first orders the pillow search tries for one h.  The
+# range (1/h, min(3/h, S/3)] grows with the denominator of c, so an uncapped
+# c would run for days; at this cap a search takes under a second.
+PILLOW_ORDER_LIMIT = 1_000_000
+
+
+def _pillow_orders(c: Fraction, bound: int | None = None, hyperbolic: bool = True):
+    """Every (p, q, r), p <= q <= r <= bound, with c(O(p, q, r)) = c, in lexicographic order.
+
+    A pillow has c = S - 2 + h with S = p+q+r and h = 1/p+1/q+1/r in
+    (0, 3/2], so h is frac(c) (chi < 0) or frac(c) + 1 (chi >= 0) and S
+    follows.  For each first order p in (1/h, min(3/h, S/3, bound)], q and
+    r are the integer roots of x^2 - (S-p) x + (S-p)/(h-1/p), one triple at
+    most per p and h.  bound=None searches every order; hyperbolic=False
+    skips the chi < 0 side.  Raises ValueError, before searching, when more
+    than PILLOW_ORDER_LIMIT first orders would need trying for one h.
+    """
+    floor = math.floor(c)
+    frac = c - floor
+    sides = []
+    # The chi >= 0 side comes first.  h > 1 leaves only p = 2, and beside it
+    # the chi < 0 side has h = frac(c) <= 1/2, so p > 1/h >= 2 there.
+    for h, total in ((frac + 1, floor + 1), (frac, floor + 2)):
+        if not 0 < h <= Fraction(3, 2) or (h < 1 and not hyperbolic):
+            continue
+        first = max(2, h.denominator // h.numerator + 1)
+        last = min(3 * h.denominator // h.numerator, total // 3)
+        if bound is not None:
+            last = min(last, bound)
+        if last - first + 1 > PILLOW_ORDER_LIMIT:
+            raise ValueError(
+                f"c = {c} needs {last - first + 1} first orders tried, "
+                f"more than the limit of {PILLOW_ORDER_LIMIT}"
+            )
+        sides.append((h.numerator, h.denominator, total, first, last))
+    for hn, hd, total, first, last in sides:
+        for p in range(first, last + 1):
+            # q + r = total - p and 1/q + 1/r = h - 1/p = (hn p - hd) / (hd p)
+            pair = _order_pair(total - p, hn * p - hd, hd * p)
+            # a q below p belongs to the triple found at first order q
+            if pair is not None and pair[0] >= p and (bound is None or pair[1] <= bound):
+                yield (p, *pair)
+
+
+def _preimage_candidates(cls: OrbifoldClass, c: Fraction):
+    """The members of the class that can have c, in roster order, without the roster."""
+    B = cls.bound
+    kind = cls.kind
+    if kind is ClassKind.TEARDROPS_AND_FOOTBALLS:
+        yield from _teardrop_football_candidates(c, B)
+    elif kind is ClassKind.CLASS_C_ORIENTABLE:
+        yield 0, 0, (), ()
+        yield 1, 0, (), ()
+        yield from _teardrop_football_candidates(c, B)
+        for orders in _pillow_orders(c, B, hyperbolic=False):
+            yield 0, 0, orders, ()
+        yield 0, 0, (2, 2, 2, 2), ()
+    elif kind is ClassKind.TRIANGULAR_PILLOWS:
+        for orders in _pillow_orders(c, B):
+            yield 0, 0, orders, ()
+    elif kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
+        found = []
+        for i, family in enumerate(_SPHERICAL_FAMILIES):
+            m = _one_order(family, c, B)
+            if m is not None:
+                found.append((m, i))
+        for m, i in sorted(found):  # the roster's order: by m, then by family
+            yield _SPHERICAL_FAMILIES[i](m)
+        yield from _spherical_fixed(B)
+    else:
+        raise ValueError(f"unknown class kind {kind!r}")
+
+
 def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
-    """All class members whose spectral constant equals c_value exactly."""
-    target = Fraction(c_value)
-    key = (target.numerator, target.denominator)
+    """All class members whose spectral constant equals c_value exactly, in roster order.
+
+    An exact search that never walks the roster.  Each family's c is a closed
+    form in its free orders: one-order families (teardrops, the spherical
+    families) have one candidate order, a football's two orders are the
+    roots of one integer quadratic, and the pillows try each first order p
+    in (1/h, min(3/h, S/3, bound)] and solve a quadratic for the other two
+    (see _pillow_orders).  So the cost is O(1) per family plus at most
+    min(2/h, bound) first orders for pillows, against one c evaluation per
+    member for a roster walk.  Every candidate is confirmed with c_ratio.
+    Raises ValueError when the pillow search would exceed
+    PILLOW_ORDER_LIMIT first orders.
+    """
+    c = Fraction(c_value)
+    key = (c.numerator, c.denominator)
     return tuple(
         OrbifoldSignature(*member)
-        for member in _roster(cls)
+        for member in _preimage_candidates(cls, c)
         if c_ratio(*member) == key
     )
 
@@ -232,61 +373,31 @@ class PillowSeparation:
     positive_member: OrbifoldSignature | None = None
 
 
-# Largest number of first orders pillow_negative_vs_rest tries for one h.
-# The range (1/h, min(3/h, S/3)] grows with the denominator of c, so an
-# uncapped c would run for days; at this cap a search takes under a second.
-PILLOW_ORDER_LIMIT = 1_000_000
-
-
 def pillow_negative_vs_rest(c_value) -> PillowSeparation:
     """Can c_value be attained both by a chi<0 pillow and by the chi>0 side?
 
-    The chi>0 side is the teardrops plus the chi>0 triangular pillows.  A
-    pillow O(p, q, r) has c = S - 2 + h with S = p+q+r and h = 1/p+1/q+1/r
-    in (0, 3/2], so h is frac(c) (chi<0) or frac(c)+1 (chi>0) and S
-    follows.  For each first order p in (1/h, min(3/h, S/3)], q and r are
-    the integer roots of x^2 - (S-p) x + (S-p)/(h-1/p), so the search is
-    exact and complete with no order bound; the smallest p wins, as in the
-    lexicographic roster.  A teardrop O(m) has c = m + 2 + 1/m, so its only
-    candidate is m = floor(c) - 2.  Raises ValueError when more than
+    The chi>0 side is the teardrops plus the chi>0 triangular pillows.  The
+    pillows come from the exact, unbounded search of _pillow_orders, and
+    the lexicographically first pillow of each sign wins, as in the roster.
+    A pillow with p + q + r > c + 1 has h < 1, so chi < 0; one with
+    p + q + r < c + 1 has chi > 0.  A teardrop O(m) has c = m + 2 + 1/m,
+    so it has one candidate order.  Raises ValueError when more than
     PILLOW_ORDER_LIMIT first orders would need trying.
     """
     c = Fraction(c_value)
-    floor = c.numerator // c.denominator
-    frac = c - floor
     negative = positive = None
-    m = floor - 2
-    if m >= 2 and c_ratio(0, 0, (m,), ()) == (c.numerator, c.denominator):
-        positive = _sphere(m)
-    for h in (frac, frac + 1):
-        if not 0 < h <= Fraction(3, 2) or h == 1:
-            continue
-        hn, hd = h.numerator, h.denominator
-        total = floor + 2 - (h > 1)
-        first = max(2, hd // hn + 1)
-        last = min(3 * hd // hn, total // 3)
-        if last - first + 1 > PILLOW_ORDER_LIMIT:
-            raise ValueError(
-                f"c = {c} needs {last - first + 1} first orders tried, "
-                f"more than the limit of {PILLOW_ORDER_LIMIT}"
-            )
-        for p in range(first, last + 1):
-            s = total - p
-            # q + r = s and 1/q + 1/r = h - 1/p = (hn p - hd) / (hd p)
-            prod, rem = divmod(s * hd * p, hn * p - hd)
-            disc = s * s - 4 * prod
-            if rem or disc < 0:
-                continue
-            root = math.isqrt(disc)
-            # a root below p would have been found as an earlier p
-            if root * root == disc and (s - root) % 2 == 0:
-                q = (s - root) // 2
-                if h < 1:
-                    negative = _sphere(p, q, s - q)
-                else:
-                    positive = _sphere(p, q, s - q)
-                break
-
+    for orders in _pillow_orders(c):
+        side = sum(orders) - c - 1
+        if side > 0 and negative is None:
+            negative = _sphere(*orders)
+        elif side < 0 and positive is None:
+            positive = _sphere(*orders)
+        if negative is not None and positive is not None:
+            break
+    if positive is None:
+        m = _one_order(_teardrop, c, None)
+        if m is not None and c_ratio(*_teardrop(m)) == (c.numerator, c.denominator):
+            positive = _sphere(m)
     return PillowSeparation(negative is None or positive is None, negative, positive)
 
 

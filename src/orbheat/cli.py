@@ -52,15 +52,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _fraction(text: str) -> Fraction:
+    # argparse reports ValueError and TypeError from a type as usage errors,
+    # but Fraction("1/0") raises ZeroDivisionError, which it would let through.
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 _MODEL_NAMES = tuple(m.value for m in FlatModel)
 _CLASS_NAMES = tuple(k.value for k in ClassKind)
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 
 # Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
 # c, so this caps the scan's memory (a few hundred MB) and run time (seconds).
-# `classify --class pillow-negative` is capped the same way, by
-# classify.PILLOW_ORDER_LIMIT, and the flat-model multiplicity oracle by
-# flat.MULTIPLICITY_SHELL_LIMIT; all three limits are fixed, not options.
+# The exact pillow search behind `classify --class pillow-negative` and
+# classify.c_preimage is capped the same way, by classify.PILLOW_ORDER_LIMIT,
+# and the flat-model multiplicity oracle by flat.MULTIPLICITY_SHELL_LIMIT;
+# these three limits are fixed, not options.
 SCAN_MEMBER_LIMIT = 1_000_000
 
 
@@ -83,14 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expansion", parents=[shared], help="heat expansion coefficients")
     p.add_argument("notation")
-    p.add_argument("--curvature", type=Fraction, required=True, help="constant curvature K")
+    p.add_argument("--curvature", type=_fraction, required=True, help="constant curvature K")
     p.add_argument("--area", type=float, default=None, help="area (default 2 pi chi / K)")
     p.add_argument("--mirror-length", type=float, default=0.0, help="total mirror length")
 
     p = sub.add_parser("classify", parents=[shared], help="pairwise distinguishability")
     p.add_argument("--class", dest="class_name", choices=_PAIR_CLASSIFIERS, required=True)
     p.add_argument("--pair", nargs=2, metavar=("SIG_A", "SIG_B"))
-    p.add_argument("--c-value", type=Fraction, default=None, help="c value for pillow-negative")
+    p.add_argument("--c-value", type=_fraction, default=None, help="c value for pillow-negative")
 
     p = sub.add_parser("scan", parents=[shared], help="c-collision scan over a class")
     p.add_argument("--class", dest="class_name", choices=_CLASS_NAMES, required=True)

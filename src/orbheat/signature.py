@@ -17,6 +17,7 @@ each one exact call of stratum_ratio, the one walk over the strata.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -183,7 +184,21 @@ def rational_to_json(value: Fraction) -> dict:
 
 
 def rational_from_json(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))
+    """Decode what rational_to_json writes; anything else raises ValueError.
+
+    num must be an ASCII string matching -?[0-9]+ and den one matching
+    [0-9]+ with a nonzero value.
+    """
+    num, den = obj.get("num"), obj.get("den")
+    if not (
+        isinstance(num, str)
+        and isinstance(den, str)
+        and re.fullmatch("-?[0-9]+", num)
+        and re.fullmatch("[0-9]+", den)
+        and int(den) != 0
+    ):
+        raise ValueError(f"malformed rational object: {obj!r}")
+    return Fraction(int(num), int(den))
 
 
 def signature_to_json(sig: OrbifoldSignature) -> dict:
@@ -196,14 +211,14 @@ def signature_to_json(sig: OrbifoldSignature) -> dict:
 
 
 def signature_from_json(obj: dict) -> OrbifoldSignature:
+    # The values go through unconverted, so OrbifoldSignature's own checks
+    # reject a float, bool or string count or order.
     try:
         return OrbifoldSignature(
-            handles=int(obj.get("handles", 0)),
-            crosscaps=int(obj.get("crosscaps", 0)),
-            cone_points=tuple(int(m) for m in obj.get("cone_points", ())),
-            mirror_boundaries=tuple(
-                tuple(int(n) for n in c) for c in obj.get("mirror_boundaries", ())
-            ),
+            handles=obj.get("handles", 0),
+            crosscaps=obj.get("crosscaps", 0),
+            cone_points=tuple(obj.get("cone_points", ())),
+            mirror_boundaries=tuple(tuple(c) for c in obj.get("mirror_boundaries", ())),
         )
     except (TypeError, AttributeError) as exc:
         raise SignatureError(f"malformed signature object: {exc}") from exc

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orbheat.classify
 from orbheat.classify import (
     PILLOW_ORDER_LIMIT,
     AmbiguousZero,
@@ -68,6 +70,25 @@ def reference_c(sig):
     for n in sig.corner_orders:
         total += Fraction(n * n - 1, 24 * n)
     return 12 * total
+
+
+def approximate_c(sig):
+    """reference_c in floats."""
+    chi = 2 - 2 * sig.handles - sig.crosscaps - len(sig.mirror_boundaries)
+    chi -= sum((m - 1) / m for m in sig.cone_points)
+    chi -= sum((n - 1) / (2 * n) for n in sig.corner_orders)
+    total = 2 * chi
+    total += sum((m * m - 1) / m for m in sig.cone_points)
+    total += sum((n * n - 1) / (2 * n) for n in sig.corner_orders)
+    return total
+
+
+def reference_groups(cls):
+    """Every attained c of the class -> its members in roster order, by reference_c."""
+    groups = {}
+    for sig in enumerate_class(cls):
+        groups.setdefault(reference_c(sig), []).append(sig)
+    return {c: tuple(sigs) for c, sigs in groups.items()}
 
 
 def constant_curvature_expansion(notation, curvature, mirror_length=0.0):
@@ -223,6 +244,27 @@ class TestCPreimage:
         for sig in enumerate_class(cls):
             assert sig in c_preimage(cls, spectral_c(sig))
 
+    def test_never_walks_the_roster(self, monkeypatch):
+        def no_roster(cls):
+            raise AssertionError("c_preimage walked the roster")
+
+        monkeypatch.setattr(orbheat.classify, "_roster", no_roster)
+        assert [render(s) for s in c_preimage(teardrops(120), Fraction(36, 5))] == ["5"]
+        assert [render(s) for s in c_preimage(pillows(60), Fraction(43, 6))] == ["2,3,3"]
+        assert [render(s) for s in c_preimage(class_c(120), Fraction(97, 12))] == ["2,3,4"]
+        hits = c_preimage(spherical(20), Fraction(271, 30))
+        assert [render(s) for s in hits] == ["*2,2,15", "2,*15", "2,3,5"]
+
+    def test_unbounded_pillow_collision(self):
+        # the known collision 2,8,8 ~ 3,3,12; a roster walk never returns here
+        hits = c_preimage(pillows(10**9), Fraction(67, 4))
+        assert [render(s) for s in hits] == ["2,8,8", "3,3,12"]
+
+    def test_first_order_range_is_capped(self):
+        # h = 1e-7 leaves first orders 10^7+1 .. 2*10^7 to try
+        with pytest.raises(ValueError, match=str(PILLOW_ORDER_LIMIT)):
+            c_preimage(pillows(10**9), Fraction(600000000000001, 10000000))
+
 
 class TestRosterOrder:
     """Rosters come out in a fixed order; scans and preimages inherit it."""
@@ -309,6 +351,37 @@ class TestScansMatchFractionReference:
             expected = tuple(groups.get(target, ()))
             assert c_preimage(cls, target) == expected
             assert (target in targets) == bool(expected)
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_preimage_equals_reference_at_every_attained_c(self, kind):
+        cls = OrbifoldClass(kind, 50)
+        groups = reference_groups(cls)
+        for target, expected in groups.items():
+            assert c_preimage(cls, target) == expected
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_preimage_equals_reference_on_a_sample_at_bound_100(self, kind):
+        # reference_c over all 166,650 pillows would take seconds, so floats
+        # narrow the roster to a window around each target and reference_c
+        # decides within it; a float c is within 1e-12 of the exact one.
+        cls = OrbifoldClass(kind, 100)
+        roster = enumerate_class(cls)
+        by_float = sorted((approximate_c(sig), i) for i, sig in enumerate(roster))
+        floats = [x for x, _ in by_float]
+
+        def reference_preimage(target):
+            lo = bisect.bisect_left(floats, float(target) - 1e-9)
+            hi = bisect.bisect_right(floats, float(target) + 1e-9)
+            hits = sorted(i for _, i in by_float[lo:hi] if reference_c(roster[i]) == target)
+            return tuple(roster[i] for i in hits)
+
+        members = random.Random(kind.value).sample(roster, min(2000, len(roster)))
+        attained = {reference_c(sig) for sig in members}
+        misses = {Fraction(1, 7), Fraction(-10**6), Fraction(10**9 + 1, 3)}
+        for target in sorted(attained | misses):
+            expected = reference_preimage(target)
+            assert c_preimage(cls, target) == expected
+            assert (target in attained) == bool(expected)
 
     def test_preimage_accepts_int_and_string_values(self):
         assert [render(s) for s in c_preimage(pillows(12), 8)] == ["3,3,3"]

@@ -138,6 +138,19 @@ class TestExpansionCommand:
         assert code == 1
         assert err != ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--class", "pillow-negative", "--c-value", "1/0"),
+            ("expansion", "2,3,5", "--curvature", "1/0"),
+        ],
+    )
+    def test_zero_denominator_exits_one(self, capsys, argv):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert "invalid Fraction value: '1/0'" in err
+        assert "Traceback" not in err
+
 
 class TestClassifyCommand:
     def test_spherical_pair_text(self, capsys):

@@ -285,6 +285,25 @@ def test_rational_json_round_trip():
 
 
 @pytest.mark.parametrize(
+    "blob",
+    [
+        {"num": 1.5, "den": 2},
+        {"num": 1, "den": 2},
+        {"num": "\u0663", "den": "1"},
+        {"num": "1", "den": "\u0663"},
+        {"num": "1", "den": "0"},
+        {"num": "1", "den": "-2"},
+        {"num": " 1", "den": "2"},
+        {"num": "1/2", "den": "1"},
+        {"num": "1"},
+    ],
+)
+def test_rational_json_rejects_what_it_does_not_write(blob):
+    with pytest.raises(ValueError):
+        rational_from_json(blob)
+
+
+@pytest.mark.parametrize(
     "signature",
     [
         sig(),
@@ -295,3 +314,20 @@ def test_rational_json_round_trip():
 )
 def test_signature_json_round_trip(signature):
     assert signature_from_json(signature_to_json(signature)) == signature
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        {"handles": 1.5, "cone_points": [2.9, 3]},
+        {"handles": True},
+        {"crosscaps": "1"},
+        {"cone_points": ["3"]},
+        {"cone_points": [3.0]},
+        {"mirror_boundaries": [[2, 2.5]]},
+        {"mirror_boundaries": [[False]]},
+    ],
+)
+def test_signature_json_checks_instead_of_coercing(blob):
+    with pytest.raises(SignatureError):
+        signature_from_json(blob)
