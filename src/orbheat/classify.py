@@ -446,9 +446,7 @@ def _reflection_circles(sig: OrbifoldSignature):
             return corners[0]  # (*m,m)
         if len(corners) == 3 and corners[:2] == (2, 2):
             return corners[2] + 1  # (*2,2,m)
-        if corners == (2, 3, 3):
-            return 6  # (*2,3,3)
-        return None
+        return {(2, 3, 3): 6, (2, 3, 4): 9, (2, 3, 5): 15}.get(corners)  # (*2,3,n)
     if len(cones) == 1 and not corners:
         return 1  # (m*)
     if cones == (2,) and len(corners) == 1:
@@ -473,8 +471,9 @@ def _unit_length_over_pi(sig: OrbifoldSignature) -> Fraction:
 def unit_sphere_mirror_length(sig: OrbifoldSignature) -> float:
     """Mirror-locus length of the K = 1 structure on a supported family.
 
-    Supported: (*m,m), (m*), (*2,2,m), (2,*m), (*2,3,3) and (3,*2); other
-    signatures raise UnsupportedFamily.
+    Supported: (*m,m), (m*), (*2,2,m), (2,*m), (*2,3,3), (*2,3,4), (*2,3,5)
+    and (3,*2), every mirrored spherical family; other signatures raise
+    UnsupportedFamily.
     """
     return float(_unit_length_over_pi(sig)) * math.pi
 

@@ -2,22 +2,31 @@
 
 Every model here is R^2 / Gamma where Gamma is generated by the unit
 translation lattice Z^2 together with up to two point symmetries, so its
-Laplace spectrum sits inside the square-torus spectrum {4 pi^2 (k^2+l^2)}
-and the heat trace has a closed form in the one-dimensional theta sum
+Laplace spectrum sits inside the square-torus spectrum {4 pi^2 (k^2+l^2)}.
+One table gives each model's signature and deck, the maps
+x -> (a x1 + bx, d x2 + by) of Gamma mod Z^2; area, mirror length and trace
+are all read from the deck.  The trace is Donnelly's group average
+(1/|G|) sum_g f(a, bx) f(d, by), where each axis sums exp(-4 pi^2 k^2 t)
+exp(2 pi i k b) over the k its sign fixes: 1 for sign -1 (only k = 0),
+theta1(t) for sign +1 and no shift, 2 theta1(4t) - theta1(t) for shift 1/2:
 
     theta1(t) = sum_{k in Z} exp(-4 pi^2 k^2 t)
               = (4 pi t)^(-1/2) sum_{k in Z} exp(-k^2 / (4t))    (Jacobi).
 
+The identity gives area = 1/|G|, each reflection with no shift along its
+mirror adds 4/|G| to the mirror length, a half-turn feeds the constant term
+and a glide no power of t.  The average gives
+
+model         deck besides the identity  area  mirror length  trace
+torus         -                          1        0          theta1^2
+klein         glide (x+1/2, -y)          1/2      0          theta1(4t) + (theta1^2 - theta1)/2
+pillowcase    involution -I              1/2      0          (theta1^2 + 1)/2
+square        -I and two reflections     1/4      2          ((theta1 + 1)/2)^2
+mirror-torus  reflection (-x, y)         1/2      2          (theta1^2 + theta1)/2
+
 theta1 sums the direct series for t >= 1/(4 pi), where the two exponents
 are equal, and the dual one below, so at every t > 0 it needs at most 4
 terms at the default tolerance and 16 at the tightest one.
-
-model         quotient map              area  mirror length  trace
-torus         identity                   1        0          theta1^2
-klein         glide (x+1/2, -y)          1/2      0          theta1(4t) + (theta1^2 - theta1)/2
-pillowcase    involution -I              1/2      0          (theta1^2 + 1)/2
-square        Klein four <-I, refl>      1/4      2          ((theta1 + 1)/2)^2
-mirror-torus  reflection (-x, y)         1/2      2          (theta1^2 + theta1)/2
 
 brute_force_trace recomputes the trace a second, independent way: average
 over the deck group of character sums on the lattice eigenbasis, with
@@ -54,53 +63,56 @@ class FlatModel(Enum):
     SQUARE = "square"
     MIRROR_TORUS = "mirror-torus"
 
-    @property
-    def area(self) -> Fraction:
-        return _MODEL_AREA[self]
-
-    @property
-    def mirror_length(self) -> int:
-        return _MODEL_MIRROR_LENGTH[self]
+    # Members are singletons, so identity hashing is exact; it runs in C,
+    # unlike Enum's hash of the member name, which heat_trace's per-call
+    # table lookup would pay for.
+    __hash__ = object.__hash__
 
     @property
     def signature(self) -> OrbifoldSignature:
-        return _MODEL_SIGNATURE[self]
+        return _MODELS[self][0]
+
+    @property
+    def area(self) -> Fraction:
+        return Fraction(1, len(_MODELS[self][1]))
+
+    @property
+    def mirror_length(self) -> Fraction:
+        # 4/|G| for each reflection with no shift along its mirror: the
+        # deck elements whose axis sums are 1 and theta1(t).
+        _, pairs, _ = _TRACE_TERMS[self]
+        return Fraction(4 * (pairs.count((0, 1)) + pairs.count((1, 0))), len(pairs))
 
 
-_MODEL_AREA = {
-    FlatModel.TORUS: Fraction(1),
-    FlatModel.KLEIN_BOTTLE: Fraction(1, 2),
-    FlatModel.PILLOWCASE: Fraction(1, 2),
-    FlatModel.SQUARE: Fraction(1, 4),
-    FlatModel.MIRROR_TORUS: Fraction(1, 2),
-}
-
-_MODEL_MIRROR_LENGTH = {
-    FlatModel.TORUS: 0,
-    FlatModel.KLEIN_BOTTLE: 0,
-    FlatModel.PILLOWCASE: 0,
-    FlatModel.SQUARE: 2,
-    FlatModel.MIRROR_TORUS: 2,
-}
-
-_MODEL_SIGNATURE = {
-    FlatModel.TORUS: OrbifoldSignature(handles=1),
-    FlatModel.KLEIN_BOTTLE: OrbifoldSignature(crosscaps=2),
-    FlatModel.PILLOWCASE: OrbifoldSignature(cone_points=(2, 2, 2, 2)),
-    FlatModel.SQUARE: OrbifoldSignature(mirror_boundaries=((2, 2, 2, 2),)),
-    FlatModel.MIRROR_TORUS: OrbifoldSignature(mirror_boundaries=((), ())),
-}
-
-# Deck transformations x -> (a x1 + bx, d x2 + by) mod Z^2, with a, d = +-1
-# and exact half-integer translation parts.
+# Each model's signature and deck: the maps x -> (a x1 + bx, d x2 + by) mod
+# Z^2, with a, d = +-1 and exact half-integer translation parts.
 _HALF = Fraction(1, 2)
-_MODEL_DECK = {
-    FlatModel.TORUS: ((1, 1, 0, 0),),
-    FlatModel.KLEIN_BOTTLE: ((1, 1, 0, 0), (1, -1, _HALF, 0)),
-    FlatModel.PILLOWCASE: ((1, 1, 0, 0), (-1, -1, 0, 0)),
-    FlatModel.SQUARE: ((1, 1, 0, 0), (-1, -1, 0, 0), (-1, 1, 0, 0), (1, -1, 0, 0)),
-    FlatModel.MIRROR_TORUS: ((1, 1, 0, 0), (-1, 1, 0, 0)),
+_MODELS = {
+    FlatModel.TORUS: (OrbifoldSignature(handles=1), ((1, 1, 0, 0),)),
+    FlatModel.KLEIN_BOTTLE: (OrbifoldSignature(crosscaps=2),
+                             ((1, 1, 0, 0), (1, -1, _HALF, 0))),
+    FlatModel.PILLOWCASE: (OrbifoldSignature(cone_points=(2, 2, 2, 2)),
+                           ((1, 1, 0, 0), (-1, -1, 0, 0))),
+    FlatModel.SQUARE: (OrbifoldSignature(mirror_boundaries=((2, 2, 2, 2),)),
+                       ((1, 1, 0, 0), (-1, -1, 0, 0), (-1, 1, 0, 0), (1, -1, 0, 0))),
+    FlatModel.MIRROR_TORUS: (OrbifoldSignature(mirror_boundaries=((), ())),
+                             ((1, 1, 0, 0), (-1, 1, 0, 0))),
 }
+
+
+def _trace_terms(deck) -> tuple:
+    """1/|G|, each deck element's pair of axis-sum indices, and whether one is 2.
+
+    Index 0 is the sum 1, 1 is theta1(t) and 2 is 2 theta1(4t) - theta1(t).
+    """
+    def axis(sign, shift):
+        return 0 if sign == -1 else 1 if shift == 0 else 2
+
+    pairs = tuple((axis(a, bx), axis(d, by)) for a, d, bx, by in deck)
+    return 1.0 / len(deck), pairs, any(2 in pair for pair in pairs)
+
+
+_TRACE_TERMS = {model: _trace_terms(deck) for model, (_, deck) in _MODELS.items()}
 
 _FOUR_PI_SQ = 4.0 * math.pi * math.pi
 _SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
@@ -148,26 +160,23 @@ def theta1(t: float, eps: float = 1e-15) -> float:
 
 
 def heat_trace(model: FlatModel, t: float) -> float:
-    """Exact heat trace of the model at time t, via the closed theta forms.
+    """Exact heat trace of the model at time t: the deck average of theta sums.
 
-    Raises ValueError where the trace, about area / (4 pi t), exceeds the
-    largest float: below t ~ 1e-309.
+    Raises ValueError where the trace overflows a double, that is where
+    area/(4 pi t) exceeds the largest float.
     """
+    weight, pairs, has_glide = _TRACE_TERMS[model]
     th = theta1(t)
-    if model is FlatModel.TORUS:
-        value = th * th
-    elif model is FlatModel.KLEIN_BOTTLE:
+    if has_glide:
         # 4t overflows only where theta1 is 1.0 at both t and 4t.
-        value = theta1(min(4.0 * t, sys.float_info.max)) + (th * th - th) / 2.0
-    elif model is FlatModel.PILLOWCASE:
-        value = (th * th + 1.0) / 2.0
-    elif model is FlatModel.SQUARE:
-        half = (th + 1.0) / 2.0
-        value = half * half
-    elif model is FlatModel.MIRROR_TORUS:
-        value = (th * th + th) / 2.0
+        sums = (1.0, th, 2.0 * theta1(min(4.0 * t, sys.float_info.max)) - th)
     else:
-        raise ValueError(f"unknown model {model!r}")
+        sums = (1.0, th)
+    value = 0.0
+    for i, j in pairs:
+        # Weighting one factor first keeps the product finite wherever
+        # the average is.
+        value += sums[i] * weight * sums[j]
     if math.isinf(value):
         raise ValueError(
             f"the {model.value} heat trace at t = {t!r} exceeds the largest float"
@@ -202,7 +211,7 @@ def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
             "the multiplicity oracle's limit"
         )
     kmax = math.isqrt(nmax)
-    deck = _MODEL_DECK[model]
+    deck = _MODELS[model][1]
     order = len(deck)
     acc = defaultdict(Fraction)
     for k in range(-kmax, kmax + 1):
@@ -273,23 +282,6 @@ class TraceSamples:
     @property
     def values(self) -> tuple:
         return tuple(v for _, v in self.points)
-
-    def to_csv(self) -> str:
-        lines = ["t,value"]
-        lines.extend(f"{t!r},{v!r}" for t, v in self.points)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TraceSamples":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.lower().startswith("t,"):
-                continue
-            t_str, v_str = line.split(",")
-            rows.append((float(t_str), float(v_str)))
-        rows.sort(key=lambda p: -p[0])
-        return cls(tuple(rows))
 
 
 def sample_trace(model: FlatModel, times=None) -> TraceSamples:

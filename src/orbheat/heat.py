@@ -76,19 +76,14 @@ def _finite(x) -> bool:
 class MetricData:
     """Constant-curvature metric data for a closed 2-orbifold.
 
-    curvature                  K, kept exact when given as int or Fraction
-    area                       total area, > 0
-    mirror_length              total length of the mirror locus, >= 0
-    mirror_curvature_integral  integral of the scalar curvature (2K for a
-                               surface of Gauss curvature K) over the
-                               mirror locus; None means the constant-
-                               curvature value 2 * K * mirror_length
+    curvature      K, kept exact when given as int or Fraction
+    area           total area, > 0
+    mirror_length  total length of the mirror locus, >= 0
     """
 
     curvature: object
     area: float
     mirror_length: float = 0.0
-    mirror_curvature_integral: float | None = None
 
     def __post_init__(self):
         if not _finite(self.curvature):
@@ -99,15 +94,6 @@ class MetricData:
             raise ValueError(
                 f"mirror_length must be finite and >= 0, got {self.mirror_length!r}"
             )
-        if self.mirror_curvature_integral is not None and not _finite(
-            self.mirror_curvature_integral
-        ):
-            raise ValueError("mirror_curvature_integral must be finite or None")
-
-    def curvature_over_mirror(self) -> float:
-        if self.mirror_curvature_integral is not None:
-            return float(self.mirror_curvature_integral)
-        return 2.0 * float(self.curvature) * float(self.mirror_length)
 
 
 def _c_weight(m: int) -> int:
@@ -151,7 +137,9 @@ def coefficient_minus_half(metric: MetricData) -> float:
 
 
 def coefficient_half(metric: MetricData) -> float:
-    return metric.curvature_over_mirror() / (64.0 * math.sqrt(math.pi))
+    # The scalar curvature 2K integrated over the mirror locus: 2 K L.
+    mirror_curvature = 2.0 * float(metric.curvature) * float(metric.mirror_length)
+    return mirror_curvature / (64.0 * math.sqrt(math.pi))
 
 
 def _degree_one_weight(m: int) -> int:
@@ -251,13 +239,8 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
     L = float(metric.mirror_length)
     if sig.has_mirrors and L <= 0:
         raise ValueError("signature has mirror boundaries but mirror_length is 0")
-    if not sig.has_mirrors:
-        if L != 0:
-            raise ValueError("mirror_length given for a signature without mirrors")
-        if metric.mirror_curvature_integral not in (None, 0, 0.0):
-            raise ValueError(
-                "mirror_curvature_integral given for a signature without mirrors"
-            )
+    if not sig.has_mirrors and L != 0:
+        raise ValueError("mirror_length given for a signature without mirrors")
 
     K = metric.curvature
     lhs = float(K) * float(metric.area)

@@ -483,7 +483,8 @@ class TestSphericalDistinguish:
         assert spherical_distinguish(parse("*2,2,15"), parse("2,*15")) == Verdict.BY_MIRROR_LENGTH
 
     def test_identical_signatures_not_distinguished(self):
-        assert spherical_distinguish(parse("3,3"), parse("3,3")) == Verdict.NOT_DISTINGUISHED
+        for notation in ("3,3", "*2,3,4", "*2,3,5"):
+            assert spherical_distinguish(parse(notation), parse(notation)) == Verdict.NOT_DISTINGUISHED
 
     def test_symmetric_in_arguments(self):
         cases = [("*2,3,3", "3,*2"), ("4×", "4*"), ("2,3,4", "2,3,5")]
@@ -504,6 +505,8 @@ class TestUnitSphereMirrorLength:
             ("2,*3", pi),
             ("2,*15", pi),
             ("*2,3,3", pi),
+            ("*2,3,4", pi * Fraction(3, 4)),
+            ("*2,3,5", pi / 2),
             ("3,*2", pi / 2),
         ]
         for notation, expected in table:
@@ -516,15 +519,17 @@ class TestUnitSphereMirrorLength:
             assert unit_sphere_mirror_length(parse(f"*{m},{m}")) == pytest.approx(2 * math.pi, rel=1e-14)
 
     def test_right_triangle_perimeter_oracle(self):
-        # *2,2,m bounds a spherical triangle with angles (pi/2, pi/2, pi/m);
+        # *2,p,q bounds a spherical triangle with angles (pi/2, pi/p, pi/q);
         # the spherical law of cosines gives its sides independently
-        for m in range(2, 31):
-            alpha, beta, gamma = math.pi / 2, math.pi / 2, math.pi / m
-            def side(a, b, c):
-                return math.acos((math.cos(a) + math.cos(b) * math.cos(c)) / (math.sin(b) * math.sin(c)))
+        def side(a, b, c):
+            return math.acos((math.cos(a) + math.cos(b) * math.cos(c)) / (math.sin(b) * math.sin(c)))
+        triangles = [(2, m) for m in range(2, 31)] + [(3, 3), (3, 4), (3, 5)]
+        for p, q in triangles:
+            alpha, beta, gamma = math.pi / 2, math.pi / p, math.pi / q
             perimeter = side(alpha, beta, gamma) + side(beta, gamma, alpha) + side(gamma, alpha, beta)
-            assert perimeter == pytest.approx(math.pi * (m + 1) / m, rel=1e-12)
-            assert unit_sphere_mirror_length(parse(f"*2,2,{m}")) == pytest.approx(perimeter, rel=1e-12)
+            if p == 2:
+                assert perimeter == pytest.approx(math.pi * (q + 1) / q, rel=1e-12)
+            assert unit_sphere_mirror_length(parse(f"*2,{p},{q}")) == pytest.approx(perimeter, rel=1e-12)
 
     def test_strict_length_inequalities(self):
         # the inequalities that make the mirror-length tie-break decisive
@@ -535,7 +540,7 @@ class TestUnitSphereMirrorLength:
         assert unit_sphere_mirror_length(parse("*2,3,3")) > unit_sphere_mirror_length(parse("3,*2"))
 
     def test_unsupported_families_raise(self):
-        for notation in ("*2,3,4", "*2,3,5", "2,3,5", "o", "*,*", "2,*3,3", "×"):
+        for notation in ("2,3,5", "o", "*,*", "2,*3,3", "×"):
             with pytest.raises(UnsupportedFamily):
                 unit_sphere_mirror_length(parse(notation))
 

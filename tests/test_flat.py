@@ -27,7 +27,10 @@ from orbheat.flat import (
     theta1,
     verify_model,
 )
+from orbheat.heat import degree_zero_term
 from orbheat.notation import render
+from orbheat.signature import euler_characteristic
+from test_acceptance import TRACE_FORMS
 
 ALL_MODELS = tuple(FlatModel)
 
@@ -119,6 +122,38 @@ def test_model_geometry_table():
         assert render(model.signature) == notation
 
 
+def compose(g, h):
+    """The deck element g after h, translations reduced mod 1."""
+    (a, d, bx, by), (a2, d2, bx2, by2) = g, h
+    return (a * a2, d * d2, (a * bx2 + bx) % 1, (d * by2 + by) % 1)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_deck_table_ties_deck_to_signature(model):
+    signature, deck = orbheat.flat._MODELS[model]
+    assert signature == model.signature
+    # The deck is a group mod Z^2: it holds the identity and is closed.
+    elements = set(deck)
+    assert len(elements) == len(deck)
+    assert (1, 1, 0, 0) in elements
+    assert all(compose(g, h) in elements for g in deck for h in deck)
+    assert model.area == Fraction(1, len(deck))
+    assert euler_characteristic(signature) == 0
+    # The half-turns -I feed the constant term.
+    half_turns = sum(1 for a, d, _, _ in deck if a == d == -1)
+    assert degree_zero_term(signature) == Fraction(half_turns, len(deck))
+    assert signature.has_mirrors == (model.mirror_length > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(t=LOG_UNIFORM_T)
+def test_trace_matches_closed_theta_forms(t):
+    th, th4 = theta1(t), theta1(4.0 * t)
+    for model in ALL_MODELS:
+        closed = TRACE_FORMS[model](th, th4)
+        assert abs(heat_trace(model, t) - closed) <= 1e-15 * closed, (model, t)
+
+
 # === Closed traces ===
 
 def test_trace_goldens_at_t_tenth():
@@ -140,6 +175,11 @@ def test_trace_at_extreme_t(model):
     # Finite down to t = 1e-309, where the trace is about area / (4 pi t)
     leading = float(model.area) / (4 * math.pi) / 1e-309
     assert heat_trace(model, 1e-309) == pytest.approx(leading, rel=1e-15)
+    # and down to where area / (4 pi t) is 1.2e308, near the largest float
+    t = float(model.area) / (4 * math.pi) / 1.2e308
+    value = heat_trace(model, t)
+    assert math.isfinite(value)
+    assert value == pytest.approx(float(model.area) / (4 * math.pi) / t, rel=1e-14)
     assert heat_trace(model, 1e308) == 1.0
     with pytest.raises(ValueError, match="largest float"):
         heat_trace(model, 5e-324)
@@ -255,14 +295,6 @@ def test_default_grid():
     assert grid[0] == pytest.approx(1e-2)
     for a, b in zip(grid, grid[1:]):
         assert b == pytest.approx(a * 0.7)
-
-
-def test_trace_samples_csv_round_trip():
-    samples = sample_trace(FlatModel.SQUARE)
-    text = samples.to_csv()
-    assert text.startswith("t,value\n")
-    back = TraceSamples.from_csv(text)
-    assert back == samples
 
 
 def test_trace_samples_validation():

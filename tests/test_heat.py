@@ -385,10 +385,6 @@ def test_coefficient_half():
     assert coefficient_half(MetricData(0, 1.0, mirror_length=3.0)) == 0.0
     metric = MetricData(1, 4 * math.pi, mirror_length=2 * math.pi)
     assert coefficient_half(metric) == pytest.approx(SQRT_PI / 16)
-    # An explicit mirror curvature integral overrides the 2 K L default.
-    override = MetricData(1, 4 * math.pi, mirror_length=2 * math.pi,
-                          mirror_curvature_integral=64 * SQRT_PI)
-    assert coefficient_half(override) == pytest.approx(1.0)
 
 
 def test_coefficient_one_flat_is_zero():
