@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .heat import HeatExpansion, c_ratio, spectral_c
 from .notation import render
-from .signature import OrbifoldSignature, euler_characteristic
+from .signature import OrbifoldSignature, euler_characteristic, rational_to_json
 
 
 class UnsupportedFamily(ValueError):
@@ -45,18 +45,26 @@ class ClassKind(Enum):
     SPHERICAL_CONSTANT_CURVATURE = "spherical"
 
 
-@dataclass(frozen=True)
-class OrbifoldClass:
+class OrbifoldClass(Record):
     """A named enumerable class together with its order bound."""
 
-    kind: ClassKind
-    bound: int = 500
+    __slots__ = ("kind", "bound")
 
-    def __post_init__(self):
-        if not isinstance(self.bound, int) or isinstance(self.bound, bool):
-            raise ValueError(f"bound must be an int, got {self.bound!r}")
-        if self.bound < 2:
-            raise ValueError(f"bound must be >= 2, got {self.bound}")
+    def __init__(self, kind: ClassKind, bound: int = 500):
+        if not isinstance(bound, int) or isinstance(bound, bool):
+            raise ValueError(f"bound must be an int, got {bound!r}")
+        if bound < 2:
+            raise ValueError(f"bound must be >= 2, got {bound}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bound", bound)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.bound) == (other.kind, other.bound)
+
+    def __hash__(self):
+        return hash((self.kind, self.bound))
 
 
 class Verdict(Enum):
@@ -314,15 +322,25 @@ def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class CollisionPair:
-    sig_a: OrbifoldSignature
-    sig_b: OrbifoldSignature
-    c: Fraction
+class CollisionPair(Record):
+    """Two members of a class with the same spectral constant c."""
+
+    __slots__ = ("sig_a", "sig_b", "c")
+
+    def __init__(self, sig_a: OrbifoldSignature, sig_b: OrbifoldSignature, c: Fraction):
+        object.__setattr__(self, "sig_a", sig_a)
+        object.__setattr__(self, "sig_b", sig_b)
+        object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.sig_a, self.sig_b, self.c) == (other.sig_a, other.sig_b, other.c)
+
+    def __hash__(self):
+        return hash((self.sig_a, self.sig_b, self.c))
 
     def to_json(self) -> dict:
-        from .signature import rational_to_json
-
         return {
             "sig_a": render(self.sig_a),
             "sig_b": render(self.sig_b),
@@ -364,13 +382,30 @@ def injectivity_scan(cls: OrbifoldClass) -> tuple:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class PillowSeparation:
+class PillowSeparation(Record):
     """Outcome of the negative-pillow vs nonnegative-class c comparison."""
 
-    distinguished: bool
-    negative_member: OrbifoldSignature | None = None
-    positive_member: OrbifoldSignature | None = None
+    __slots__ = ("distinguished", "negative_member", "positive_member")
+
+    def __init__(
+        self,
+        distinguished: bool,
+        negative_member: OrbifoldSignature | None = None,
+        positive_member: OrbifoldSignature | None = None,
+    ):
+        object.__setattr__(self, "distinguished", distinguished)
+        object.__setattr__(self, "negative_member", negative_member)
+        object.__setattr__(self, "positive_member", positive_member)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.distinguished, self.negative_member, self.positive_member) == (
+            other.distinguished, other.negative_member, other.positive_member
+        )
+
+    def __hash__(self):
+        return hash((self.distinguished, self.negative_member, self.positive_member))
 
 
 def pillow_negative_vs_rest(c_value) -> PillowSeparation:

@@ -10,38 +10,9 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from fractions import Fraction
-
-from .classify import (
-    ClassKind,
-    OrbifoldClass,
-    injectivity_scan,
-    pillow_negative_vs_rest,
-    positive_vs_zero_chi,
-    roster_size,
-    spherical_distinguish,
-)
-from .flat import (
-    FIT_DEGREES,
-    FlatModel,
-    degree_label,
-    fit_expansion,
-    heat_trace,
-    sample_trace,
-    verify_model,
-)
-from .heat import (
-    GaussBonnetViolation,
-    MetricData,
-    full_expansion,
-    spectral_c,
-)
-from .notation import parse, render
-from .signature import euler_characteristic, rational_to_json, signature_to_json
-from .tables import verify_table1, verify_table2
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -61,8 +32,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-_MODEL_NAMES = tuple(m.value for m in FlatModel)
-_CLASS_NAMES = tuple(k.value for k in ClassKind)
+# Each subcommand imports the orbheat modules it calls inside its _cmd_*
+# function, so a run loads only those: `c` loads notation, signature and
+# heat, and only fit and verify load numpy.  For the same reason the values
+# of flat.FlatModel and classify.ClassKind are written out here, in order.
+_MODEL_NAMES = ("torus", "klein", "pillowcase", "square", "mirror-torus")
+_CLASS_NAMES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 
 # Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
@@ -124,6 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, payload, text_lines) -> None:
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -131,6 +108,9 @@ def _emit(args, payload, text_lines) -> None:
 
 
 def _cmd_parse(args) -> int:
+    from .notation import parse, render
+    from .signature import signature_to_json
+
     sig = parse(args.notation)
     _emit(
         args,
@@ -147,31 +127,48 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_chi(args) -> int:
+    from .notation import parse
+    from .signature import euler_characteristic, rational_to_json
+
     value = euler_characteristic(parse(args.notation))
     _emit(args, rational_to_json(value), [str(value)])
     return 0
 
 
 def _cmd_c(args) -> int:
+    from .heat import spectral_c
+    from .notation import parse
+    from .signature import rational_to_json
+
     value = spectral_c(parse(args.notation))
     _emit(args, rational_to_json(value), [str(value)])
     return 0
 
 
 def _cmd_expansion(args) -> int:
+    from .heat import GaussBonnetViolation, MetricData, full_expansion
+    from .notation import parse
+    from .signature import euler_characteristic
+
     sig = parse(args.notation)
     chi = euler_characteristic(sig)
     K = args.curvature
-    if args.area is not None:
-        area = float(args.area)
-    elif K != 0:
-        area = 2.0 * math.pi * float(chi) / float(K)
-        if area <= 0:
-            raise GaussBonnetViolation(chi, K, area, area)
-    else:
-        raise ValueError("--area is required when the curvature is 0")
-    metric = MetricData(curvature=K, area=area, mirror_length=args.mirror_length)
-    expansion = full_expansion(sig, metric)
+    # expansion is the one subcommand that can meet a Gauss-Bonnet
+    # violation, so it maps that error to its exit code, 2, itself.
+    try:
+        if args.area is not None:
+            area = float(args.area)
+        elif K != 0:
+            area = 2.0 * math.pi * float(chi) / float(K)
+            if area <= 0:
+                raise GaussBonnetViolation(chi, K, area, area)
+        else:
+            raise ValueError("--area is required when the curvature is 0")
+        metric = MetricData(curvature=K, area=area, mirror_length=args.mirror_length)
+        expansion = full_expansion(sig, metric)
+    except GaussBonnetViolation as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = [
         f"deg -1: {expansion.as_float(-1)!r}",
         f"deg -1/2: {expansion.as_float(Fraction(-1, 2))!r}",
@@ -184,6 +181,9 @@ def _cmd_expansion(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import pillow_negative_vs_rest, positive_vs_zero_chi, spherical_distinguish
+    from .notation import parse, render
+
     if args.class_name == "pillow-negative":
         if args.c_value is None:
             raise ValueError("--c-value is required for --class pillow-negative")
@@ -212,6 +212,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from .classify import ClassKind, OrbifoldClass, injectivity_scan, roster_size
+    from .notation import render
+
     cls = OrbifoldClass(ClassKind(args.class_name), args.bound)
     members = roster_size(cls, SCAN_MEMBER_LIMIT)
     if members > SCAN_MEMBER_LIMIT:
@@ -232,6 +235,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .flat import FlatModel, heat_trace
+
     model = FlatModel(args.model)
     value = heat_trace(model, args.t)
     _emit(
@@ -243,6 +248,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from .flat import FIT_DEGREES, FlatModel, degree_label, fit_expansion, sample_trace
+
     model = FlatModel(args.model)
     fit = fit_expansion(sample_trace(model), FIT_DEGREES)
     payload = {
@@ -263,6 +270,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .flat import FlatModel, verify_model
+
     model = FlatModel(args.model)
     report = verify_model(model)
     text = []
@@ -276,6 +285,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .tables import verify_table1, verify_table2
+
     report = verify_table1() if args.which == 1 else verify_table2()
     if report:
         text = [
@@ -311,9 +322,6 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return _DISPATCH[args.subcommand](args)
-    except GaussBonnetViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -40,10 +40,10 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
+from ._record import Record
 from .heat import HeatExpansion, MetricData, full_expansion
 from .signature import OrbifoldSignature
 
@@ -257,14 +257,13 @@ def default_grid(start: float = 1e-2, ratio: float = 0.7, count: int = 12) -> tu
     return tuple(start * ratio**i for i in range(count))
 
 
-@dataclass(frozen=True)
-class TraceSamples:
+class TraceSamples(Record):
     """Heat-trace samples (t, value), t strictly decreasing and positive."""
 
-    points: tuple
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        pts = tuple((float(t), float(v)) for t, v in self.points)
+    def __init__(self, points: tuple):
+        pts = tuple((float(t), float(v)) for t, v in points)
         if not pts:
             raise ValueError("need at least one sample point")
         for t, v in pts:
@@ -274,6 +273,14 @@ class TraceSamples:
             if not t1 < t0:
                 raise ValueError("sample times must be strictly decreasing")
         object.__setattr__(self, "points", pts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.points == other.points
+
+    def __hash__(self):
+        return hash((self.points,))
 
     @property
     def times(self) -> tuple:
@@ -292,13 +299,27 @@ def sample_trace(model: FlatModel, times=None) -> TraceSamples:
     return TraceSamples(points)
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Least-squares expansion fit: coefficient per degree, plus diagnostics."""
+class FitResult(Record):
+    """Least-squares expansion fit: coefficient per degree, plus diagnostics.
 
-    coefficients: dict
-    residual: float
-    condition: float
+    Like its coefficient dict, a fit result is not hashable.
+    """
+
+    __slots__ = ("coefficients", "residual", "condition")
+
+    def __init__(self, coefficients: dict, residual: float, condition: float):
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "condition", condition)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coefficients, self.residual, self.condition) == (
+            other.coefficients, other.residual, other.condition
+        )
+
+    __hash__ = None
 
 
 def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12) -> FitResult:

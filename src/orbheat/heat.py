@@ -31,10 +31,10 @@ compare them with the cosecants summed term by term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
+from ._record import Record
 from .signature import (
     OrbifoldSignature,
     euler_characteristic,
@@ -72,8 +72,7 @@ def _finite(x) -> bool:
     return math.isfinite(float(x))
 
 
-@dataclass(frozen=True)
-class MetricData:
+class MetricData(Record):
     """Constant-curvature metric data for a closed 2-orbifold.
 
     curvature      K, kept exact when given as int or Fraction
@@ -81,19 +80,30 @@ class MetricData:
     mirror_length  total length of the mirror locus, >= 0
     """
 
-    curvature: object
-    area: float
-    mirror_length: float = 0.0
+    __slots__ = ("curvature", "area", "mirror_length")
 
-    def __post_init__(self):
-        if not _finite(self.curvature):
-            raise ValueError(f"curvature must be finite, got {self.curvature!r}")
-        if not _finite(self.area) or float(self.area) <= 0:
-            raise ValueError(f"area must be finite and > 0, got {self.area!r}")
-        if not _finite(self.mirror_length) or float(self.mirror_length) < 0:
+    def __init__(self, curvature, area: float, mirror_length: float = 0.0):
+        if not _finite(curvature):
+            raise ValueError(f"curvature must be finite, got {curvature!r}")
+        if not _finite(area) or float(area) <= 0:
+            raise ValueError(f"area must be finite and > 0, got {area!r}")
+        if not _finite(mirror_length) or float(mirror_length) < 0:
             raise ValueError(
-                f"mirror_length must be finite and >= 0, got {self.mirror_length!r}"
+                f"mirror_length must be finite and >= 0, got {mirror_length!r}"
             )
+        object.__setattr__(self, "curvature", curvature)
+        object.__setattr__(self, "area", area)
+        object.__setattr__(self, "mirror_length", mirror_length)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.curvature, self.area, self.mirror_length) == (
+            other.curvature, other.area, other.mirror_length
+        )
+
+    def __hash__(self):
+        return hash((self.curvature, self.area, self.mirror_length))
 
 
 def _c_weight(m: int) -> int:
@@ -168,26 +178,33 @@ def has_half_integer_terms(sig: OrbifoldSignature) -> bool:
     return sig.has_mirrors
 
 
-@dataclass(frozen=True)
-class HeatExpansion:
+class HeatExpansion(Record):
     """The five leading heat coefficients, keyed by exact degree.
 
     Degrees are Fraction(-1), Fraction(-1, 2), 0, Fraction(1, 2), 1.  The
     degree-0 value is always an exact Fraction; degree 1 is exact whenever
-    the curvature was given exactly; the rest are floats.
+    the curvature was given exactly; the rest are floats.  Like a dict, an
+    expansion is not hashable.
     """
 
-    coefficients: dict
+    __slots__ = ("coefficients",)
 
-    def __post_init__(self):
-        keys = set(self.coefficients)
+    def __init__(self, coefficients: dict):
+        keys = set(coefficients)
         if keys != set(DEGREES):
             raise ValueError(f"expansion must carry exactly degrees {DEGREES}")
-        if not isinstance(self.coefficients[Fraction(0)], Rational):
+        if not isinstance(coefficients[Fraction(0)], Rational):
             raise ValueError("degree-0 coefficient must be exact")
-        if float(self.coefficients[Fraction(-1)]) <= 0:
+        if float(coefficients[Fraction(-1)]) <= 0:
             raise ValueError("degree -1 coefficient (area term) must be positive")
-        object.__setattr__(self, "coefficients", dict(self.coefficients))
+        object.__setattr__(self, "coefficients", dict(coefficients))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    __hash__ = None
 
     def __getitem__(self, degree):
         return self.coefficients[Fraction(degree)]

@@ -24,7 +24,6 @@ offending token in the input string.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
 from .signature import OrbifoldSignature

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+
+from ._record import Record
 
 
 class SignatureError(ValueError):
@@ -41,8 +42,7 @@ def _check_int(value, what, minimum):
         raise SignatureError(f"{what} must be >= {minimum}, got {value}")
 
 
-@dataclass(frozen=True)
-class OrbifoldSignature:
+class OrbifoldSignature(Record):
     """Normalized signature of a closed 2-orbifold.
 
     handles            number of handles of the underlying surface
@@ -61,31 +61,43 @@ class OrbifoldSignature:
     hence every invariant computed here).
     """
 
-    handles: int = 0
-    crosscaps: int = 0
-    cone_points: tuple = ()
-    mirror_boundaries: tuple = field(default_factory=tuple)
+    __slots__ = ("handles", "crosscaps", "cone_points", "mirror_boundaries")
 
-    def __post_init__(self):
-        _check_int(self.handles, "handle count", 0)
-        _check_int(self.crosscaps, "crosscap count", 0)
-        for m in self.cone_points:
+    def __init__(
+        self,
+        handles: int = 0,
+        crosscaps: int = 0,
+        cone_points: tuple = (),
+        mirror_boundaries: tuple = (),
+    ):
+        _check_int(handles, "handle count", 0)
+        _check_int(crosscaps, "crosscap count", 0)
+        for m in cone_points:
             _check_int(m, "cone point order", 2)
-        for component in self.mirror_boundaries:
+        for component in mirror_boundaries:
             for n in component:
                 _check_int(n, "corner reflector order", 2)
-        handles, crosscaps = self.handles, self.crosscaps
         if handles > 0 and crosscaps > 0:
             crosscaps += 2 * handles
             handles = 0
         object.__setattr__(self, "handles", handles)
         object.__setattr__(self, "crosscaps", crosscaps)
-        object.__setattr__(self, "cone_points", tuple(sorted(self.cone_points)))
+        object.__setattr__(self, "cone_points", tuple(sorted(cone_points)))
         object.__setattr__(
             self,
             "mirror_boundaries",
-            tuple(sorted(tuple(sorted(c)) for c in self.mirror_boundaries)),
+            tuple(sorted(tuple(sorted(c)) for c in mirror_boundaries)),
         )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.handles, self.crosscaps, self.cone_points, self.mirror_boundaries) == (
+            other.handles, other.crosscaps, other.cone_points, other.mirror_boundaries
+        )
+
+    def __hash__(self):
+        return hash((self.handles, self.crosscaps, self.cone_points, self.mirror_boundaries))
 
     @property
     def corner_orders(self) -> tuple:

@@ -415,6 +415,103 @@ def test_c_does_not_import_numpy():
     assert (result.returncode, result.stdout) == (0, "271/30\n0 False\n")
 
 
+# The orbheat modules each subcommand loads.  Every subcommand loads the
+# package, cli, signature and _record (the base of signature's records).
+_BASE = {"orbheat", "orbheat.cli", "orbheat._record", "orbheat.signature"}
+_NOTATION = _BASE | {"orbheat.notation"}
+_HEAT = _NOTATION | {"orbheat.heat"}
+_CLASSIFY = _HEAT | {"orbheat.classify"}
+_FLAT = _BASE | {"orbheat.heat", "orbheat.flat"}
+FOOTPRINTS = [
+    (["parse", "2,3,5"], _NOTATION),
+    (["parse", "*2,1"], _NOTATION),
+    (["chi", "2,3,5"], _NOTATION),
+    (["c", "2,3,5"], _HEAT),
+    (["c", "2,3,5", "--format", "json"], _HEAT),
+    (["expansion", "2,3,5", "--curvature", "1"], _HEAT),
+    (["expansion", "2,3,5", "--curvature", "1", "--area", "3"], _HEAT),
+    (["classify", "--class", "spherical", "--pair", "2,2,2", "*2,2,2"], _CLASSIFY),
+    (["classify", "--class", "pillow-negative", "--c-value", "67/4"], _CLASSIFY),
+    (["scan", "--class", "pillows", "--bound", "5"], _CLASSIFY),
+    (["trace", "--model", "klein", "--t", "0.1"], _FLAT),
+    (["fit", "--model", "torus"], _FLAT),
+    (["verify", "--model", "torus"], _FLAT),
+    (["tables", "--which", "1"], _HEAT | {"orbheat.tables"}),
+    (["trace", "--model", "bogus", "--t", "0.1"], {"orbheat", "orbheat.cli"}),
+    (["scan", "--class", "bogus"], {"orbheat", "orbheat.cli"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", FOOTPRINTS, ids=[" ".join(argv) for argv, _ in FOOTPRINTS]
+)
+def test_subcommand_import_footprint(argv, modules):
+    # Module sets only, never times, so this cannot flake on a slow machine.
+    code = (
+        "import sys, io, contextlib\n"
+        "from orbheat.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    run(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('orbheat', 'numpy', 'dataclasses', 'inspect'))\n"
+        "print(*(m for m in loaded if not m.startswith('numpy.')))\n"
+    )
+    result = run_python("-c", code, *argv)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert {m for m in loaded if m.startswith("orbheat")} == modules
+    # numpy imports inspect itself; nothing in orbheat does.
+    uses_numpy = argv[0] in ("fit", "verify")
+    assert ("numpy" in loaded) == uses_numpy
+    assert ("inspect" in loaded) == uses_numpy
+    assert "dataclasses" not in loaded
+
+
+def test_classify_module_loads_neither_flat_nor_tables():
+    code = "import sys, orbheat.classify; print(*sorted(m for m in sys.modules if m.startswith('orbheat')))"
+    result = run_python("-c", code)
+    assert result.stdout.split() == [
+        "orbheat",
+        "orbheat._record",
+        "orbheat.classify",
+        "orbheat.heat",
+        "orbheat.notation",
+        "orbheat.signature",
+    ]
+
+
+def test_choice_names_match_the_enums():
+    # cli writes the names out so that building its parser imports neither module.
+    from orbheat.classify import ClassKind
+
+    assert orbheat.cli._MODEL_NAMES == tuple(m.value for m in FlatModel)
+    assert orbheat.cli._CLASS_NAMES == tuple(k.value for k in ClassKind)
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["trace", "--model", "bogus", "--t", "1"],
+            "usage: orbheat trace [-h] [--format {json,text}] --model\n"
+            "                     {torus,klein,pillowcase,square,mirror-torus} --t T\n"
+            "orbheat trace: error: argument --model: invalid choice: 'bogus' "
+            "(choose from 'torus', 'klein', 'pillowcase', 'square', 'mirror-torus')\n",
+        ),
+        (
+            ["scan", "--class", "bogus"],
+            "usage: orbheat scan [-h] [--format {json,text}] --class\n"
+            "                    {teardrops-footballs,pillows,class-c,spherical}\n"
+            "                    [--bound BOUND]\n"
+            "orbheat scan: error: argument --class: invalid choice: 'bogus' "
+            "(choose from 'teardrops-footballs', 'pillows', 'class-c', 'spherical')\n",
+        ),
+    ],
+)
+def test_bad_choice_usage_error_text(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert invoke(capsys, *argv) == (1, "", err)
+
+
 @pytest.mark.parametrize("t", ["1e-300", "1e308"])
 def test_trace_at_extreme_t_is_fast(t):
     start = time.perf_counter()

@@ -1,0 +1,48 @@
+"""The package namespace: every public name resolves, on first use, to its submodule's object."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+import orbheat
+
+from test_cli import run_python
+
+
+@pytest.mark.parametrize("name", orbheat.__all__)
+def test_public_name_is_its_submodules_object(name):
+    module = importlib.import_module(f"orbheat.{orbheat._ORIGIN[name]}")
+    assert getattr(orbheat, name) is getattr(module, name)
+
+
+def test_all_names_are_unique_and_listed_by_dir():
+    assert len(set(orbheat.__all__)) == len(orbheat.__all__)
+    assert set(orbheat.__all__) <= set(dir(orbheat))
+    assert "__version__" in dir(orbheat)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from orbheat import *", namespace)
+    assert set(orbheat.__all__) <= set(namespace)
+    assert namespace["OrbifoldSignature"] is orbheat.signature.OrbifoldSignature
+
+
+def test_submodules_resolve_as_attributes():
+    for module in ("classify", "flat", "heat", "notation", "signature", "tables"):
+        assert getattr(orbheat, module) is importlib.import_module(f"orbheat.{module}")
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        orbheat.no_such_name
+    assert not hasattr(orbheat, "cli_main")
+
+
+def test_package_import_loads_no_submodule():
+    code = "import sys, orbheat; print(*sorted(m for m in sys.modules if m.startswith('orbheat')))"
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (0, "orbheat\n")
+
