@@ -19,7 +19,6 @@ of pi) and in curvature_sign's float inputs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -83,17 +82,17 @@ def _sphere(*cones) -> OrbifoldSignature:
     return OrbifoldSignature(cone_points=tuple(cones))
 
 
-# Class rosters stream their members as (handles, crosscaps, cones,
-# boundaries) tuples, already in normalized form, so the scans below can key
-# on c_ratio and build an OrbifoldSignature only for the members they return.
+# Class rosters are streams of stems (handles, crosscaps, cones, boundaries,
+# last), already in normalized form.  A stem whose last is a range of orders
+# stands for the members with cones + (r,), r in last, in that order; a stem
+# whose last is None is itself one member.  The scans below key each stem
+# once and build an OrbifoldSignature only for the members they return.
 
 
 def _teardrops_footballs(bound: int):
-    for m in range(2, bound + 1):
-        yield 0, 0, (m,), ()
+    yield 0, 0, (), (), range(2, bound + 1)
     for r in range(2, bound + 1):
-        for s in range(r, bound + 1):
-            yield 0, 0, (r, s), ()
+        yield 0, 0, (r,), (), range(r, bound + 1)
 
 
 def _nonneg_pillows(bound: int):
@@ -102,13 +101,8 @@ def _nonneg_pillows(bound: int):
     chi >= 0 forces 1/p + 1/q + 1/r >= 1, so p is 2 or 3 and the other
     orders are tightly bounded except for the (2, 2, r) tail.
     """
-    for r in range(2, bound + 1):
-        yield 0, 0, (2, 2, r), ()
-    for q, rmax in ((3, 6), (4, 4)):
-        for r in range(q, min(rmax, bound) + 1):
-            yield 0, 0, (2, q, r), ()
-    if bound >= 3:
-        yield 0, 0, (3, 3, 3), ()
+    for p, q, rmax in ((2, 2, bound), (2, 3, 6), (2, 4, 4), (3, 3, 3)):
+        yield 0, 0, (p, q), (), range(q, min(rmax, bound) + 1)
 
 
 # The seven one-order spherical families, in their roster order for each m.
@@ -139,8 +133,8 @@ def _spherical_fixed(bound: int):
             yield 0, 0, cones, boundaries
 
 
-def _roster(cls: OrbifoldClass):
-    """Every member of the class as a (handles, crosscaps, cones, boundaries) tuple."""
+def _stems(cls: OrbifoldClass):
+    """The class roster as (handles, crosscaps, cones, boundaries, last) stems."""
     B = cls.bound
     kind = cls.kind
     if kind is ClassKind.TEARDROPS_AND_FOOTBALLS:
@@ -148,21 +142,31 @@ def _roster(cls: OrbifoldClass):
     elif kind is ClassKind.TRIANGULAR_PILLOWS:
         for p in range(2, B + 1):
             for q in range(p, B + 1):
-                for r in range(q, B + 1):
-                    yield 0, 0, (p, q, r), ()
+                yield 0, 0, (p, q), (), range(q, B + 1)
     elif kind is ClassKind.CLASS_C_ORIENTABLE:
-        yield 0, 0, (), ()
-        yield 1, 0, (), ()
+        yield 0, 0, (), (), None
+        yield 1, 0, (), (), None
         yield from _teardrops_footballs(B)
         yield from _nonneg_pillows(B)
-        yield 0, 0, (2, 2, 2, 2), ()
+        yield 0, 0, (2, 2, 2, 2), (), None
     elif kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
         for m in range(2, B + 1):
             for family in _SPHERICAL_FAMILIES:
-                yield family(m)
-        yield from _spherical_fixed(B)
+                yield (*family(m), None)
+        for member in _spherical_fixed(B):
+            yield (*member, None)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
+
+
+def _roster(cls: OrbifoldClass):
+    """Every member of the class as a (handles, crosscaps, cones, boundaries) tuple."""
+    for h, k, cones, boundaries, last in _stems(cls):
+        if last is None:
+            yield h, k, cones, boundaries
+        else:
+            for r in last:
+                yield h, k, (*cones, r), boundaries
 
 
 def enumerate_class(cls: OrbifoldClass) -> tuple:
@@ -171,13 +175,17 @@ def enumerate_class(cls: OrbifoldClass) -> tuple:
 
 
 def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
-    """Number of members of the class, counted without building signatures.
+    """Number of members of the class, counted from its stems.
 
-    With a limit, counting stops after limit + 1 members, so a result above
-    limit only says the roster is larger than limit.
+    With a limit, counting stops once it passes limit and returns limit + 1,
+    so a result above limit only says the roster is larger than limit.
     """
-    stop = None if limit is None else limit + 1
-    return sum(1 for _ in itertools.islice(_roster(cls), stop))
+    count = 0
+    for *_, last in _stems(cls):
+        count += 1 if last is None else len(last)
+        if limit is not None and count > limit:
+            return limit + 1
+    return count
 
 
 def _teardrop(m: int) -> tuple:
@@ -348,23 +356,67 @@ class CollisionPair(Record):
         }
 
 
+def _members_at(cls: OrbifoldClass, indices):
+    """The class members at the given roster indices, in roster order, from one pass over the stems."""
+    pending = sorted(indices, reverse=True)  # the smallest index last
+    end = 0
+    stems = _stems(cls)
+    while pending:
+        h, k, cones, boundaries, last = next(stems)
+        start, end = end, end + (1 if last is None else len(last))
+        while pending and pending[-1] < end:
+            if last is None:
+                yield h, k, cones, boundaries
+            else:
+                yield h, k, (*cones, last[pending[-1] - start]), boundaries
+            pending.pop()
+
+
+# The prime 2^61 - 1, read at call time.  A denominator of c is a product
+# of orders and 2s, all below it, so it has an inverse modulo it.
+_MODULUS = (1 << 61) - 1
+
+
 def collision_groups(cls: OrbifoldClass) -> dict:
-    """Members grouped by spectral constant, keeping only groups of size >= 2."""
-    # One list per distinct c would be one tracked object per member for
-    # the garbage collector to rescan; lists are made only for collisions.
-    first = {}  # c_ratio -> the first member with that c
-    shared = {}  # c_ratio -> all members with that c, once there are two
-    for member in _roster(cls):
-        key = c_ratio(*member)
-        seen = first.get(key)
-        if seen is None:
-            first[key] = member
-        else:
-            shared.setdefault(key, [seen]).append(member)
+    """Members grouped by spectral constant, keeping only groups of size >= 2.
+
+    Each member is keyed by c modulo the prime _MODULUS: c is additive over
+    strata, so the key is its stem's residue plus what one more cone of
+    order r adds, one addition and one dict lookup per member.  Members
+    that share a key are rebuilt from the stems and confirmed with the
+    exact c_ratio, which splits a key shared by different c.  Groups, and
+    the members in each, come in roster order.
+    """
+    P = _MODULUS
+
+    def residue(h, k, cones, boundaries):
+        num, den = c_ratio(h, k, cones, boundaries)
+        return num * pow(den, -1, P) % P
+
+    sphere = residue(0, 0, (), ())
+    # cone[r] is what one more cone of order r adds to a residue.
+    cone = [0, 0] + [
+        (residue(0, 0, (r,), ()) - sphere) % P for r in range(2, cls.bound + 1)
+    ]
+    first = {}  # residue -> roster index of the first member with it
+    setdefault = first.setdefault
+    shared = set()  # roster indices of the members whose residue is not theirs alone
+    i = 0
+    for h, k, cones, boundaries, last in _stems(cls):
+        stem = residue(h, k, cones, boundaries)
+        for w in (0,) if last is None else cone[last.start:last.stop]:
+            f = setdefault((stem + w) % P, i)
+            if f != i:
+                shared.add(f)
+                shared.add(i)
+            i += 1
+    groups = {}  # exact c_ratio -> its members, first seen first
+    for member in _members_at(cls, shared):
+        groups.setdefault(c_ratio(*member), []).append(member)
     return {
-        Fraction(*key): tuple(OrbifoldSignature(*m) for m in shared[key])
-        for key in first
-        if key in shared
+        Fraction(*key): tuple(OrbifoldSignature(*m) for m in members)
+        for key, members in groups.items()
+        if len(members) > 1
     }
 
 

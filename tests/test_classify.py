@@ -5,6 +5,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,7 @@ class TestCPreimage:
             raise AssertionError("c_preimage walked the roster")
 
         monkeypatch.setattr(orbheat.classify, "_roster", no_roster)
+        monkeypatch.setattr(orbheat.classify, "_stems", no_roster)
         assert [render(s) for s in c_preimage(teardrops(120), Fraction(36, 5))] == ["5"]
         assert [render(s) for s in c_preimage(pillows(60), Fraction(43, 6))] == ["2,3,3"]
         assert [render(s) for s in c_preimage(class_c(120), Fraction(97, 12))] == ["2,3,4"]
@@ -387,6 +389,54 @@ class TestScansMatchFractionReference:
         assert [render(s) for s in c_preimage(pillows(12), 8)] == ["3,3,3"]
         hits = c_preimage(spherical(20), "271/30")
         assert hits == c_preimage(spherical(20), Fraction(271, 30)) != ()
+
+
+def reference_collisions(cls):
+    """reference_groups restricted to the groups of two or more members."""
+    return {c: sigs for c, sigs in reference_groups(cls).items() if len(sigs) >= 2}
+
+
+def reference_pairs(groups):
+    return tuple(
+        CollisionPair(sigs[i], sigs[j], c)
+        for c, sigs in sorted(groups.items())
+        for i in range(len(sigs))
+        for j in range(i + 1, len(sigs))
+    )
+
+
+class TestResidueKeyedScan:
+    """collision_groups keys members by c modulo a prime and confirms exactly."""
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_forced_residue_collisions_are_split_exactly(self, kind, monkeypatch):
+        # Modulo 1009 most members share a key with another.  1009 is a prime
+        # above every order and corner denominator at bound 40, so each
+        # denominator still has an inverse.
+        monkeypatch.setattr(orbheat.classify, "_MODULUS", 1009)
+        cls = OrbifoldClass(kind, 40)
+        expected = reference_collisions(cls)
+        assert list(collision_groups(cls).items()) == list(expected.items())
+        assert injectivity_scan(cls) == reference_pairs(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(list(ClassKind)), bound=st.integers(2, 40))
+    def test_groups_and_size_equal_reference(self, kind, bound):
+        # bound 2 leaves class-c's (2,3,r) and (2,4,r) runs empty.
+        cls = OrbifoldClass(kind, bound)
+        expected = reference_collisions(cls)
+        assert list(collision_groups(cls).items()) == list(expected.items())
+        assert roster_size(cls) == len(enumerate_class(cls))
+
+    def test_memory_peak_of_a_pillow_scan(self):
+        # Bytes, never times: 166,650 members peak under 24 MB.
+        tracemalloc.start()
+        try:
+            collision_groups(pillows(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 10**6
 
 
 class TestInjectivityScans:

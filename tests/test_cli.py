@@ -556,3 +556,17 @@ def test_pillow_negative_oversized_search_exits_one_quickly():
     assert time.perf_counter() - start < 2.0
     assert (result.returncode, result.stdout) == (1, "")
     assert "1000000" in result.stderr
+
+
+def test_classify_module_adds_only_the_fraction_stack():
+    # Every process compiles classify from source, so what it imports is
+    # start-up time; these are the modules it adds beyond the package.
+    code = (
+        "import sys, orbheat\n"
+        "before = set(sys.modules)\n"
+        "import orbheat.classify\n"
+        "print(*sorted(m for m in set(sys.modules) - before if not m.startswith('orbheat')))\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["__future__", "_decimal", "decimal", "fractions", "numbers"]
