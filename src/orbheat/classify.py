@@ -357,7 +357,7 @@ class CollisionPair(Record):
 
 
 def _members_at(cls: OrbifoldClass, indices):
-    """The class members at the given roster indices, in roster order, from one pass over the stems."""
+    """(index, member) for the given roster indices, in roster order, from one pass over the stems."""
     pending = sorted(indices, reverse=True)  # the smallest index last
     end = 0
     stems = _stems(cls)
@@ -365,11 +365,11 @@ def _members_at(cls: OrbifoldClass, indices):
         h, k, cones, boundaries, last = next(stems)
         start, end = end, end + (1 if last is None else len(last))
         while pending and pending[-1] < end:
+            i = pending.pop()
             if last is None:
-                yield h, k, cones, boundaries
+                yield i, (h, k, cones, boundaries)
             else:
-                yield h, k, (*cones, last[pending[-1] - start]), boundaries
-            pending.pop()
+                yield i, (h, k, (*cones, last[i - start]), boundaries)
 
 
 # The prime 2^61 - 1, read at call time.  A denominator of c is a product
@@ -384,35 +384,46 @@ def collision_groups(cls: OrbifoldClass) -> dict:
     strata, so the key is its stem's residue plus what one more cone of
     order r adds, one addition and one dict lookup per member.  Members
     that share a key are rebuilt from the stems and confirmed with the
-    exact c_ratio, which splits a key shared by different c.  Groups, and
+    exact c_ratio, which splits a key shared by different c; a member that
+    is its own stem keeps the c_ratio its key was made from.  Groups, and
     the members in each, come in roster order.
     """
     P = _MODULUS
 
-    def residue(h, k, cones, boundaries):
-        num, den = c_ratio(h, k, cones, boundaries)
+    def residue(ratio):
+        num, den = ratio
         return num * pow(den, -1, P) % P
 
-    sphere = residue(0, 0, (), ())
+    sphere = residue(c_ratio(0, 0, (), ()))
     # cone[r] is what one more cone of order r adds to a residue.
     cone = [0, 0] + [
-        (residue(0, 0, (r,), ()) - sphere) % P for r in range(2, cls.bound + 1)
+        (residue(c_ratio(0, 0, (r,), ())) - sphere) % P for r in range(2, cls.bound + 1)
     ]
     first = {}  # residue -> roster index of the first member with it
     setdefault = first.setdefault
     shared = set()  # roster indices of the members whose residue is not theirs alone
+    own = {}  # roster index -> (c_ratio, member) of each member that is its own stem
     i = 0
     for h, k, cones, boundaries, last in _stems(cls):
-        stem = residue(h, k, cones, boundaries)
+        ratio = c_ratio(h, k, cones, boundaries)
+        stem = residue(ratio)
+        if last is None:
+            own[i] = ratio, (h, k, cones, boundaries)
         for w in (0,) if last is None else cone[last.start:last.stop]:
             f = setdefault((stem + w) % P, i)
             if f != i:
                 shared.add(f)
                 shared.add(i)
             i += 1
+    rebuilt = dict(_members_at(cls, shared.difference(own)))
     groups = {}  # exact c_ratio -> its members, first seen first
-    for member in _members_at(cls, shared):
-        groups.setdefault(c_ratio(*member), []).append(member)
+    for i in sorted(shared):
+        if i in own:
+            ratio, member = own[i]
+        else:
+            member = rebuilt[i]
+            ratio = c_ratio(*member)
+        groups.setdefault(ratio, []).append(member)
     return {
         Fraction(*key): tuple(OrbifoldSignature(*m) for m in members)
         for key, members in groups.items()

@@ -34,8 +34,9 @@ def _fraction(text: str) -> Fraction:
 
 # Each subcommand imports the orbheat modules it calls inside its _cmd_*
 # function, so a run loads only those: `c` loads notation, signature and
-# heat, and only fit and verify load numpy.  For the same reason the values
-# of flat.FlatModel and classify.ClassKind are written out here, in order.
+# heat, and only trace, fit and verify load flat.  For the same reason the
+# values of flat.FlatModel and classify.ClassKind are written out here, in
+# order.
 _MODEL_NAMES = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 _CLASS_NAMES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
@@ -223,6 +224,10 @@ def _cmd_scan(args) -> int:
             f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
         )
     pairs = injectivity_scan(cls)
+    # Either format renders every signature, so only the requested one is built.
+    if args.format == "json":
+        _emit(args, [p.to_json() for p in pairs], ())
+        return 0
     if pairs:
         text = [
             f"{render(p.sig_a)} ~ {render(p.sig_b)}  c={p.c}" for p in pairs
@@ -230,7 +235,7 @@ def _cmd_scan(args) -> int:
         text.append(f"{len(pairs)} collision pair(s) among {members} members")
     else:
         text = [f"no collisions among {members} members"]
-    _emit(args, [p.to_json() for p in pairs], text)
+    _emit(args, None, text)
     return 0
 
 

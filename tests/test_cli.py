@@ -459,10 +459,9 @@ def test_subcommand_import_footprint(argv, modules):
     assert result.returncode == 0, result.stderr
     loaded = set(result.stdout.split())
     assert {m for m in loaded if m.startswith("orbheat")} == modules
-    # numpy imports inspect itself; nothing in orbheat does.
-    uses_numpy = argv[0] in ("fit", "verify")
-    assert ("numpy" in loaded) == uses_numpy
-    assert ("inspect" in loaded) == uses_numpy
+    # No subcommand loads numpy, or inspect, which numpy would bring.
+    assert "numpy" not in loaded
+    assert "inspect" not in loaded
     assert "dataclasses" not in loaded
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 import orbheat.flat
 from orbheat.flat import (
+    FIT_DEGREES,
     FlatModel,
     IllConditioned,
     InsufficientSamples,
@@ -359,6 +361,150 @@ def test_fit_condition_guard():
         )
     fit = fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
     assert fit.condition < 1e5
+
+
+# === Fit against a 50-digit least-squares oracle ===
+
+EPS = sys.float_info.epsilon
+
+
+def oracle_fit(samples, degrees):
+    """50-digit least squares of the same float data: coefficients, condition."""
+    with mpmath.workdps(50):
+        design = mpmath.matrix(
+            [[mpmath.mpf(t ** float(d)) for d in degrees] for t in samples.times]
+        )
+        target = mpmath.matrix([mpmath.mpf(v) for v in samples.values])
+        solution, _ = mpmath.qr_solve(design, target)
+        sigmas = mpmath.svd_r(design, compute_uv=False)
+        return [solution[i] for i in range(len(degrees))], max(sigmas) / min(sigmas)
+
+
+def distance(coefficients, reference) -> float:
+    """Largest coefficient error, relative to the largest reference coefficient."""
+    scale = max(abs(r) for r in reference)
+    return float(max(abs(mpmath.mpf(c) - r) for c, r in zip(coefficients, reference)) / scale)
+
+
+def assert_fit_matches_oracle(samples, degrees=FIT_DEGREES):
+    numpy = pytest.importorskip("numpy")
+    fit = fit_expansion(samples, degrees)
+    reference, condition = oracle_fit(samples, degrees)
+    design = numpy.array([[t ** float(d) for d in degrees] for t in samples.times])
+    theirs = numpy.linalg.lstsq(design, numpy.array(samples.values), rcond=None)[0]
+    ours = distance(list(fit.coefficients.values()), reference)
+    # Where numpy itself lands within a few ulps of the largest coefficient,
+    # both are as close as their own rounding allows.
+    assert ours <= max(distance(theirs.tolist(), reference), 4 * EPS)
+    assert abs(fit.condition - condition) <= 1e-12 * condition
+    with mpmath.workdps(50):
+        rows = (
+            sum(mpmath.mpf(t ** float(d)) * mpmath.mpf(c) for d, c in fit.coefficients.items())
+            - mpmath.mpf(v)
+            for t, v in samples.points
+        )
+        residual = mpmath.sqrt(sum(r * r for r in rows))
+    # fit.residual is ||A x - b|| for the returned x, summed in doubles.
+    assert abs(fit.residual - residual) <= 16 * EPS * math.hypot(*samples.values)
+    return fit
+
+
+@pytest.mark.parametrize("start", [1e-2, 1e-3])
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
+def test_fit_matches_oracle_on_the_bench_grids(model, start):
+    assert_fit_matches_oracle(sample_trace(model, default_grid(start)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(ALL_MODELS),
+    log_start=st.floats(min_value=-6.5, max_value=-0.5),
+)
+def test_fit_matches_oracle_on_drawn_grids(model, log_start):
+    assert_fit_matches_oracle(sample_trace(model, default_grid(10.0**log_start)))
+
+
+def test_fit_matches_oracle_on_synthetic_samples():
+    ts = geometric_grid(1e-1, 1e-5, 20)
+    samples = TraceSamples(tuple((t, 0.3 / t - 0.7 / math.sqrt(t) + 2.0 + 5.0 * t) for t in ts))
+    degrees = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1))
+    assert_fit_matches_oracle(samples, degrees)
+
+
+def test_fit_without_refinement_past_the_refinement_range():
+    # Samples near 1e200 lie past the range where the refinement's split
+    # products stay finite, so the fit stops at the QR solution; the
+    # reflectors and the Jacobi rotations never square an entry there.
+    ts = geometric_grid(1e-200, 1e-202, 12)
+    samples = TraceSamples(tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts))
+    fit = fit_expansion(samples, FIT_DEGREES, condition_limit=math.inf)
+    reference, condition = oracle_fit(samples, FIT_DEGREES)
+    assert abs(fit.condition - condition) <= 1e-12 * condition
+    assert fit.coefficients[Fraction(-1)] == pytest.approx(float(reference[0]), rel=1e-12)
+    assert min(samples.values) > orbheat.flat._REFINE_BELOW
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.floats(-1e100, 1e100), min_size=3, max_size=3),
+    column=st.lists(st.floats(-1e100, 1e100), min_size=3, max_size=3),
+    x=st.floats(-1e100, 1e100),
+)
+def test_exact_residual_is_rounded_once(values, column, x):
+    exact = [Fraction(v) - Fraction(a) * Fraction(x) for v, a in zip(values, column)]
+    assert orbheat.flat._exact_residual(values, [column], [x]) == [float(e) for e in exact]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.floats(-1e8, 1e8).filter(lambda a: abs(a) > 1e-8), min_size=n, max_size=n),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    ),
+    weight=st.floats(0.1, 10.0),
+)
+def test_jacobi_condition_of_dependent_rows_is_huge(rows, weight):
+    # The last row is (nearly) the weighted sum of the others, so sigma_min is
+    # at most rounding; the rotations must end without a math error.
+    dependent = [weight * sum(column) for column in zip(*rows)]
+    assert orbheat.flat._condition([*rows, dependent]) > 1e12
+
+
+def test_fit_insufficient_samples_boundary():
+    ts = geometric_grid(1e-2, 1e-3, 3)
+    samples = TraceSamples(tuple((t, 2.0 / t + 1.0) for t in ts))
+    fit = fit_expansion(samples, FIT_DEGREES)  # square: interpolation
+    assert fit.coefficients[Fraction(-1)] == pytest.approx(2.0, rel=1e-12)
+    assert fit.residual < 1e-10
+    with pytest.raises(InsufficientSamples):
+        fit_expansion(samples, (*FIT_DEGREES, Fraction(1)))
+
+
+def test_fit_condition_limit_boundary_is_checked_before_solving(monkeypatch):
+    samples = sample_trace(FlatModel.TORUS)
+    condition = fit_expansion(samples, FIT_DEGREES).condition
+    assert fit_expansion(samples, FIT_DEGREES, condition_limit=condition).condition == condition
+
+    def no_solve(*args):
+        raise AssertionError("solved an ill-conditioned design")
+
+    monkeypatch.setattr(orbheat.flat, "_back_substitute", no_solve)
+    with pytest.raises(IllConditioned):
+        fit_expansion(samples, FIT_DEGREES, condition_limit=math.nextafter(condition, 0.0))
+
+
+def test_fit_rank_deficient_designs_are_ill_conditioned():
+    ts = geometric_grid(1e-1, 1e-3, 12)
+    samples = TraceSamples(tuple((t, 1.0 / t) for t in ts))
+    # t^400 underflows to a zero column: sigma_min is 0, an infinite condition.
+    with pytest.raises(IllConditioned, match="condition inf"):
+        fit_expansion(samples, (Fraction(-1), Fraction(400)), condition_limit=math.inf)
+    # t^(1e-30) rounds to 1.0: two equal columns.
+    with pytest.raises(IllConditioned):
+        fit_expansion(samples, (Fraction(0), Fraction(1, 10**30)))
 
 
 # === Fit vs prediction ===

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +49,19 @@ def test_package_import_loads_no_submodule():
     result = run_python("-c", code)
     assert (result.returncode, result.stdout) == (0, "orbheat\n")
 
+
+
+def test_package_imports_only_the_standard_library():
+    # Every import in src/orbheat names a standard-library module or orbheat itself.
+    allowed = sys.stdlib_module_names | {"orbheat"}
+    outside = []
+    for path in sorted(Path(orbheat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
+    assert outside == []
