@@ -324,8 +324,6 @@ class FitResult(Record):
     __hash__ = None
 
 
-# === Least squares, standard library only ===
-
 _EPS = sys.float_info.epsilon
 # Veltkamp's constant 2^27 + 1: hi = u - (u - a) with u = _SPLIT * a and
 # lo = a - hi split a double a into 26-bit halves.
@@ -333,7 +331,7 @@ _SPLIT = 134217729.0
 # The refinement step splits and multiplies design entries, samples and
 # coefficients; below this magnitude none of those products overflows.
 _REFINE_BELOW = 2.0**500
-# Cyclic Jacobi converges quadratically and takes 3 or 4 sweeps on the fit
+# Cyclic Jacobi converges quadratically and takes 2 or 3 sweeps on the fit
 # designs; the cap only bounds the loop.
 _JACOBI_SWEEPS = 30
 
