@@ -422,6 +422,7 @@ _NOTATION = _BASE | {"orbheat.notation"}
 _HEAT = _NOTATION | {"orbheat.heat"}
 _CLASSIFY = _HEAT | {"orbheat.classify"}
 _FLAT = _BASE | {"orbheat.heat", "orbheat.flat"}
+_FIT = _FLAT | {"orbheat._lstsq"}
 FOOTPRINTS = [
     (["parse", "2,3,5"], _NOTATION),
     (["parse", "*2,1"], _NOTATION),
@@ -434,8 +435,8 @@ FOOTPRINTS = [
     (["classify", "--class", "pillow-negative", "--c-value", "67/4"], _CLASSIFY),
     (["scan", "--class", "pillows", "--bound", "5"], _CLASSIFY),
     (["trace", "--model", "klein", "--t", "0.1"], _FLAT),
-    (["fit", "--model", "torus"], _FLAT),
-    (["verify", "--model", "torus"], _FLAT),
+    (["fit", "--model", "torus"], _FIT),
+    (["verify", "--model", "torus"], _FIT),
     (["tables", "--which", "1"], _HEAT | {"orbheat.tables"}),
     (["trace", "--model", "bogus", "--t", "0.1"], {"orbheat", "orbheat.cli"}),
     (["scan", "--class", "bogus"], {"orbheat", "orbheat.cli"}),

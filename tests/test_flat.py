@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbheat.flat
+from orbheat import _lstsq
 from orbheat.flat import (
     FIT_DEGREES,
     FlatModel,
@@ -437,7 +438,7 @@ def test_fit_without_refinement_past_the_refinement_range():
     # scaled Jacobi never form such a square.
     ts = geometric_grid(1e-200, 1e-202, 12)
     samples = TraceSamples(tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts))
-    assert min(samples.values) > orbheat.flat._REFINE_BELOW
+    assert min(samples.values) > _lstsq._REFINE_BELOW
     fit = fit_expansion(samples, FIT_DEGREES, condition_limit=math.inf)
     reference, condition = oracle_fit(samples, FIT_DEGREES)
     assert abs(fit.condition - condition) <= 1e-12 * condition
@@ -456,7 +457,7 @@ IN_RANGE = st.floats(-1e100, 1e100).filter(lambda a: a == 0 or abs(a) >= 1e-100)
 )
 def test_exact_residual_is_rounded_once(values, column, x):
     exact = [Fraction(v) - Fraction(a) * Fraction(x) for v, a in zip(values, column)]
-    assert orbheat.flat._exact_residual(values, [column], [x]) == [float(e) for e in exact]
+    assert _lstsq.exact_residual(values, [column], [x]) == [float(e) for e in exact]
 
 
 @settings(max_examples=100, deadline=None)
@@ -474,7 +475,7 @@ def test_jacobi_condition_of_dependent_rows_is_huge(rows, weight):
     # The last row is (nearly) the weighted sum of the others, so sigma_min is
     # at most rounding; the rotations must end without a math error.
     dependent = [weight * sum(column) for column in zip(*rows)]
-    assert orbheat.flat._condition([*rows, dependent]) > 1e12
+    assert _lstsq.condition_number([*rows, dependent]) > 1e12
 
 
 def test_fit_insufficient_samples_boundary():
@@ -495,7 +496,7 @@ def test_fit_condition_limit_boundary_is_checked_before_solving(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved an ill-conditioned design")
 
-    monkeypatch.setattr(orbheat.flat, "_back_substitute", no_solve)
+    monkeypatch.setattr(_lstsq, "solve", no_solve)
     with pytest.raises(IllConditioned):
         fit_expansion(samples, FIT_DEGREES, condition_limit=math.nextafter(condition, 0.0))
 
