@@ -1,10 +1,12 @@
 """Least squares for flat.fit_expansion, in the standard library only.
 
-A Householder QR of the design matrix, never the normal equations; the
-condition number from a one-sided Jacobi on R; back-substitution and one
-refinement step on an exactly rounded residual.  flat imports this module
-on its first fit, so a process that samples traces without fitting them
-never compiles it.
+One one-sided Jacobi on the columns of the design matrix A, never the
+normal equations: its rotations turn the columns of a power-of-two multiple
+scale * A into orthogonal columns W = scale * A * V, with V orthogonal.  The
+norms of W's columns give A's condition number, and V and W give the
+least-squares solution; one refinement step on an exactly rounded residual
+follows.  flat imports this module on its first fit, so a process that
+samples traces without fitting them never compiles it.
 """
 
 from __future__ import annotations
@@ -21,104 +23,72 @@ _SPLIT = 134217729.0
 # The refinement step splits and multiplies design entries, samples and
 # coefficients; below this magnitude none of those products overflows.
 _REFINE_BELOW = 2.0**500
-# Cyclic Jacobi converges quadratically and takes 2 or 3 sweeps on the fit
-# designs; the cap only bounds the loop.
+# Cyclic Jacobi converges quadratically and takes 3 or 4 sweeps on the fit
+# designs, the last of which only checks; the cap only bounds the loop.
 _JACOBI_SWEEPS = 30
 
 
-def householder_qr(columns) -> tuple:
-    """Householder QR of the m x n matrix with the given columns, m >= n.
+def jacobi(columns) -> tuple:
+    """One-sided Jacobi on the m x n matrix A with the given columns, m >= n.
 
-    Returns the reflectors (k, v, tau) and R as n rows.  Each v starts with
-    1 and no entry of it exceeds 1, so no product overflows.  A column with
-    nothing left to reflect gets no reflector and a zero on R's diagonal.
+    Returns (w, v, scale) with scale * A * V = W, given by their columns: V
+    orthogonal and W's columns orthogonal to within _EPS of the product of
+    their norms.  Those norms, over scale, are A's singular values, each with
+    a small relative error, the smallest included.  scale is the power of two
+    that brings A's largest entry below 1.  The norms come from math.hypot,
+    which squares no entry: the square of a column near 1e-200 underflows.
+    Equal columns rotate to an exact zero column.
     """
-    work = [list(column) for column in columns]
-    reflectors = []
-    for k, column in enumerate(work):
-        x = column[k:]
-        norm = math.hypot(*x)
-        if norm == 0.0:
-            continue
-        # alpha has the sign opposite to x[0], so x[0] - alpha cancels no digits.
-        alpha = -math.copysign(norm, x[0])
-        d = x[0] - alpha
-        reflector = (k, [1.0] + [xi / d for xi in x[1:]], -d / alpha)
-        reflectors.append(reflector)
-        column[k] = alpha
-        for later in work[k + 1:]:
-            _reflect(*reflector, later)
-    rows = [[0.0] * i + list(row[i:]) for i, row in zip(range(len(work)), zip(*work))]
-    return reflectors, rows
-
-
-def _reflect(k, v, tau, y) -> None:
-    """Map entries k.. of y, in place, to y - tau (v.y) v."""
-    tail = y[k:]
-    f = tau * sum(map(mul, v, tail))
-    y[k:] = [a - f * w for a, w in zip(tail, v)]
-
-
-def apply_qt(reflectors, vector) -> list:
-    """Q^T vector, for the Q of householder_qr."""
-    out = list(vector)
-    for reflector in reflectors:
-        _reflect(*reflector, out)
-    return out
-
-
-def back_substitute(rows, d) -> list:
-    """The x with R x = d[:n], for the upper-triangular R given by rows."""
-    x = [0.0] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        row = rows[i]
-        x[i] = (d[i] - sum(map(mul, row[i + 1:], x[i + 1:]))) / row[i]
-    return x
-
-
-def condition_number(rows) -> float:
-    """sigma_max / sigma_min of the square matrix R with the given rows.
-
-    A zero on R's diagonal makes it singular, whatever rounding would leave
-    in its smallest computed singular value, so it gives inf, as does a
-    zero singular value.  Otherwise one-sided Jacobi: rotate pairs of rows
-    until every pair is orthogonal to within _EPS of the product of their
-    norms; the row norms are then the singular values, each with a small
-    relative error, the smallest included.  The rows are first scaled by a
-    power of two to a largest entry below 1, so no square overflows.
-    """
-    if not all(row[i] for i, row in enumerate(rows)):
-        return math.inf
-    scale = 2.0 ** -math.frexp(max(map(abs, chain(*rows))))[1]
-    rows = [[a * scale for a in row] for row in rows]
-    norms = [sum(map(mul, row, row)) for row in rows]
+    scale = 2.0 ** -math.frexp(max(map(abs, chain(*columns))))[1]
+    w = [[a * scale for a in column] for column in columns]
+    v = [[float(i == j) for i in range(len(w))] for j in range(len(w))]
+    norms = [math.hypot(*column) for column in w]
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
-        for p in range(len(rows) - 1):
-            for q in range(p + 1, len(rows)):
-                rp, rq = rows[p], rows[q]
-                gamma = sum(map(mul, rp, rq))
-                if abs(gamma) <= _EPS * math.sqrt(norms[p] * norms[q]):
+        for p in range(len(w) - 1):
+            for q in range(p + 1, len(w)):
+                gamma = sum(map(mul, w[p], w[q]))
+                if abs(gamma) <= _EPS * norms[p] * norms[q]:
                     continue
                 rotated = True
                 # The rotation by the smaller root t of t^2 + 2 zeta t = 1
                 # makes the pair orthogonal.
-                zeta = (norms[q] - norms[p]) / (2.0 * gamma)
+                zeta = (norms[q] - norms[p]) / (2.0 * gamma) * (norms[q] + norms[p])
                 t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
                 c = 1.0 / math.hypot(1.0, t)
                 s = c * t
-                rows[p], rows[q] = (
-                    [c * x - s * y for x, y in zip(rp, rq)],
-                    [s * x + c * y for x, y in zip(rp, rq)],
-                )
-                # Recomputed, not updated by -+ t gamma: near a zero
-                # singular value the update can round below zero.
-                norms[p] = sum(map(mul, rows[p], rows[p]))
-                norms[q] = sum(map(mul, rows[q], rows[q]))
+                for matrix in (w, v):
+                    matrix[p], matrix[q] = (
+                        [c * x - s * y for x, y in zip(matrix[p], matrix[q])],
+                        [s * x + c * y for x, y in zip(matrix[p], matrix[q])],
+                    )
+                norms[p] = math.hypot(*w[p])
+                norms[q] = math.hypot(*w[q])
         if not rotated:
             break
-    sigmas = [math.hypot(*row) for row in rows]
+    return w, v, scale
+
+
+def condition_number(w) -> float:
+    """sigma_max / sigma_min of A, from the columns w of jacobi's W.
+
+    A zero column of W makes A singular and gives inf.
+    """
+    sigmas = [math.hypot(*column) for column in w]
     return max(sigmas) / min(sigmas) if min(sigmas) > 0.0 else math.inf
+
+
+def _pseudo_solve(w, v, scale, b) -> list:
+    """scale V diag(1/sigma^2) W^T b, the least-squares x of A x ~ b.
+
+    sigma is the norm of a column w of W.  Each (w.b) / sigma * (scale / sigma)
+    divides before it multiplies: sigma^2 underflows where sigma is near 1e-200.
+    """
+    coefficients = []
+    for column in w:
+        sigma = math.hypot(*column)
+        coefficients.append(sum(map(mul, column, b)) / sigma * (scale / sigma))
+    return [sum(map(mul, row, coefficients)) for row in zip(*v)]
 
 
 def exact_residual(values, columns, x) -> list:
@@ -144,17 +114,17 @@ def exact_residual(values, columns, x) -> list:
     return list(map(math.fsum, zip(*parts)))
 
 
-def solve(reflectors, rows, columns, values) -> tuple:
+def solve(w, v, scale, columns, values) -> tuple:
     """The least-squares x of A x ~ values, and ||A x - values||_2.
 
-    A is given by its columns and by its QR from householder_qr.  The QR
+    A is given by its columns and by jacobi's (w, v, scale) of them.  The
     solution takes one refinement step on the residual rounded once per
     row, which brings it to within a few ulps of the exact least-squares
     solution; the step is skipped where an entry reaches _REFINE_BELOW.
     """
-    x = back_substitute(rows, apply_qt(reflectors, values))
+    x = _pseudo_solve(w, v, scale, values)
     if max(map(abs, chain(values, x, *columns))) < _REFINE_BELOW:
-        correction = back_substitute(rows, apply_qt(reflectors, exact_residual(values, columns, x)))
+        correction = _pseudo_solve(w, v, scale, exact_residual(values, columns, x))
         x = list(map(float.__add__, x, correction))
     residual = list(values)
     for column, c in zip(columns, x):

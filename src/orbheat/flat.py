@@ -325,11 +325,11 @@ class FitResult(Record):
 def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12) -> FitResult:
     """Fit sum_d c_d t^d to the samples by least squares.
 
-    Solves with a Householder QR of the t^d design matrix, never the normal
-    equations, then takes one refinement step on the residual rounded once
-    per row, which brings the coefficients to within a few ulps of the
-    exact least-squares solution of the sampled data.  The condition
-    number is the design matrix's, read from the singular values of R.
+    One one-sided Jacobi on the columns of the t^d design matrix, never the
+    normal equations, gives its singular values, hence the condition
+    number, and the solution; one refinement step on the residual rounded
+    once per row then brings the coefficients to within a few ulps of the
+    exact least-squares solution of the sampled data.
     Raises InsufficientSamples when there are fewer points than degrees and,
     before solving, IllConditioned when the condition exceeds
     condition_limit or the design matrix is singular.
@@ -344,17 +344,17 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
             f"{len(samples.points)} samples cannot determine {len(degs)} coefficients"
         )
     # Imported here, so that a process that fits nothing never compiles it.
-    from ._lstsq import condition_number, householder_qr, solve
+    from ._lstsq import condition_number, jacobi, solve
 
     times, values = zip(*samples.points)
     columns = [[t**e for t in times] for e in map(float, degs)]
-    reflectors, rows = householder_qr(columns)
-    condition = condition_number(rows)
+    w, v, scale = jacobi(columns)
+    condition = condition_number(w)
     if not math.isfinite(condition) or condition > condition_limit:
         raise IllConditioned(
             f"design matrix condition {condition:.3e} exceeds limit {condition_limit:.3e}"
         )
-    solution, residual = solve(reflectors, rows, columns, values)
+    solution, residual = solve(w, v, scale, columns, values)
     return FitResult(
         coefficients=dict(zip(degs, solution)), residual=residual, condition=condition
     )

@@ -1,0 +1,83 @@
+"""tools/bench_pairs.py's verdict on paired runs, on synthetic values."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+# Ten parent runs with median 104.5 and interquartile range 4.5.
+PARENT = [100.0 + i for i in range(10)]
+
+
+def compare(change, better="lower", bound=0.25, parent=PARENT):
+    return bench_pairs.compare(parent, change, better, bound)
+
+
+def test_median_delta_and_parent_iqr():
+    result = compare([p - 10.0 for p in PARENT])
+    assert result["median_delta"] == -10.0
+    assert result["parent_iqr"] == 4.5
+    assert result["change_better_pairs"] == 10
+
+
+@pytest.mark.parametrize("better, shift", [("lower", -10.0), ("higher", 10.0)])
+def test_gain_in_every_pair_beyond_the_parent_spread(better, shift):
+    assert compare([p + shift for p in PARENT], better)["verdict"] == "gain"
+
+
+def test_gain_needs_nine_of_ten_pairs():
+    change = [p - 10.0 for p in PARENT]
+    change[0] = change[1] = 200.0  # two lost pairs; the median still moves by 10
+    result = compare(change)
+    assert result["change_better_pairs"] == 8
+    assert result["median_delta"] < -result["parent_iqr"]
+    assert result["verdict"] == "no_regression"
+    change[1] = PARENT[1]  # a tie counts for neither side
+    assert compare(change)["change_better_pairs"] == 8
+    change[1] = PARENT[1] - 10.0
+    assert compare(change)["verdict"] == "gain"
+
+
+def test_gain_needs_the_median_to_move_more_than_the_parent_iqr():
+    result = compare([p - 4.5 for p in PARENT])
+    assert result["change_better_pairs"] == 10
+    assert result["median_delta"] == -result["parent_iqr"]
+    assert result["verdict"] == "no_regression"
+
+
+@pytest.mark.parametrize("better, sign", [("lower", 1.0), ("higher", -1.0)])
+def test_regression_is_a_median_worse_than_the_bound(better, sign):
+    # bound 0.25 of the parent median 104.5 allows a move of 26.125.
+    assert compare([p + sign * 26.0 for p in PARENT], better)["verdict"] == "no_regression"
+    assert compare([p + sign * 26.5 for p in PARENT], better)["verdict"] == "regression"
+
+
+def test_spread_wider_than_the_bound_is_unresolved():
+    # Parent median 104.5, interquartile range 4.5: wider than 0.01 of the median.
+    assert compare(PARENT, bound=0.01)["verdict"] == "unresolved"
+    assert compare(PARENT, bound=0.05)["verdict"] == "no_regression"
+
+
+def test_wide_spread_resolves_when_every_change_run_beats_every_parent_run():
+    # Median 105 and interquartile range 10: a change to 99 is no gain.
+    parent = [100.0] * 5 + [110.0] * 5
+    result = compare([99.0] * 10, bound=0.01, parent=parent)
+    assert (result["change_better_pairs"], result["verdict"]) == (10, "no_regression")
+    assert compare([99.0] * 9 + [100.0], bound=0.01, parent=parent)["verdict"] == "unresolved"
+
+
+def test_identical_ratios_are_no_regression():
+    ones = [1.0] * 10
+    result = compare(ones, "higher", 0.01, parent=ones)
+    assert result == {
+        "change_better_pairs": 0, "median_delta": 0.0, "parent_iqr": 0.0, "verdict": "no_regression",
+    }
+    assert compare([1.0] * 9 + [0.0], "higher", 0.01, parent=ones)["verdict"] == "no_regression"
+    assert compare([0.98] * 10, "higher", 0.01, parent=ones)["verdict"] == "regression"

@@ -406,15 +406,6 @@ def test_module_entry_points(module):
     assert (result.returncode, result.stdout, result.stderr) == (0, "271/30\n", "")
 
 
-def test_c_does_not_import_numpy():
-    code = (
-        "import sys, orbheat.cli; code = orbheat.cli.run(['c', '2,3,5']); "
-        "print(code, 'numpy' in sys.modules)"
-    )
-    result = run_python("-c", code)
-    assert (result.returncode, result.stdout) == (0, "271/30\n0 False\n")
-
-
 # The orbheat modules each subcommand loads.  Every subcommand loads the
 # package, cli, signature and _record (the base of signature's records).
 _BASE = {"orbheat", "orbheat.cli", "orbheat._record", "orbheat.signature"}

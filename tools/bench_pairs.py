@@ -10,9 +10,10 @@ declares.  Pair i of the w-th workload runs both sides with seed
 seed0 + 100 * w + i, the parent first in even pairs and the change first in
 odd ones, so a slow spell of the machine does not land on one side only.
 The output holds, per workload and end-to-end metric, each side's values,
-median and quartiles, and the number of pairs in which the change was
-better, plus the seeds, run order, source digests and host facts that
-bench/run.py reports.  Run from inside the repository.
+median and quartiles, the number of pairs in which the change was better,
+the change of the median, the parent's interquartile range and a verdict
+(see `compare`), plus the seeds, run order, source digests and host facts
+that bench/run.py reports.  Run from inside the repository.
 """
 
 from __future__ import annotations
@@ -59,7 +60,35 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "values": values}
 
 
-def run_pairs(args, work: Path, workloads: list, seconds: float, better: dict) -> dict:
+def compare(parent: list, change: list, better: str, bound: float) -> dict:
+    """Paired runs of one metric, judged against its declared direction and bound.
+
+    parent[i] and change[i] are pair i.  The verdict is the first that holds:
+    `gain` when the change is better in at least 9 of 10 pairs (ties count for
+    neither side) and its median differs from the parent's by more than the
+    parent's interquartile range; `regression` when the change's median is
+    worse than the parent's by more than bound times the parent's median;
+    `unresolved` when the parent's interquartile range exceeds that bound,
+    unless every change run is better than every parent run; otherwise
+    `no_regression`.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    delta = statistics.median(change) - statistics.median(parent)
+    iqr = quartiles(parent)["iqr"]
+    allowed = bound * abs(statistics.median(parent))
+    if 10 * wins >= 9 * len(parent) and sign * delta > iqr:
+        verdict = "gain"
+    elif sign * delta < -allowed:
+        verdict = "regression"
+    elif iqr > allowed and not min(sign * c for c in change) > max(sign * p for p in parent):
+        verdict = "unresolved"
+    else:
+        verdict = "no_regression"
+    return {"change_better_pairs": wins, "median_delta": delta, "parent_iqr": iqr, "verdict": verdict}
+
+
+def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict) -> dict:
     """Extract both commits under `work`, run every workload's pairs, return the report."""
     sides = {"parent": work / "parent", "change": work / "change"}
     commits = {side: extract(rev, sides[side])
@@ -91,15 +120,14 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, better: dict) -
         metrics = {}
         for name in runs["parent"][0]["metrics"]:
             values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-            sign = 1 if better.get(name) == "higher" else -1
+            spec = declared[name]
             metrics[name] = {
                 "unit": runs["parent"][0]["metrics"][name]["unit"],
-                "better": better.get(name),
+                "better": spec["better"],
+                "bound": spec["bound"],
                 "parent": quartiles(values["parent"]),
                 "change": quartiles(values["change"]),
-                "change_better_pairs": sum(
-                    sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
-                ),
+                **compare(values["parent"], values["change"], spec["better"], spec["bound"]),
             }
         report["workloads"][workload] = {
             "seeds": seeds,
@@ -120,12 +148,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     declared = json.loads(Path("BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
-        report = run_pairs(args, work, workloads, seconds, better)
+        report = run_pairs(args, work, workloads, seconds, metrics)
     finally:
         shutil.rmtree(work)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
