@@ -64,9 +64,9 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     """Paired runs of one metric, judged against its declared direction and bound.
 
     parent[i] and change[i] are pair i.  The verdict is the first that holds:
-    `gain` when the change is better in at least 9 of 10 pairs (ties count for
-    neither side) and its median differs from the parent's by more than the
-    parent's interquartile range; `regression` when the change's median is
+    `gain` when the change is better in at least nine tenths of the pairs
+    (ties count for neither side) and its median is better than the parent's
+    by more than the parent's interquartile range; `regression` when the change's median is
     worse than the parent's by more than bound times the parent's median;
     `unresolved` when the parent's interquartile range exceeds that bound,
     unless every change run is better than every parent run; otherwise
@@ -74,9 +74,9 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     """
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    delta = statistics.median(change) - statistics.median(parent)
-    iqr = quartiles(parent)["iqr"]
-    allowed = bound * abs(statistics.median(parent))
+    base = quartiles(parent)
+    delta, iqr = statistics.median(change) - base["median"], base["iqr"]
+    allowed = bound * abs(base["median"])
     if 10 * wins >= 9 * len(parent) and sign * delta > iqr:
         verdict = "gain"
     elif sign * delta < -allowed:
