@@ -31,12 +31,13 @@ _JACOBI_SWEEPS = 30
 def jacobi(columns) -> tuple:
     """One-sided Jacobi on the m x n matrix A with the given columns, m >= n.
 
-    Returns (w, v, scale) with scale * A * V = W, given by their columns: V
-    orthogonal and W's columns orthogonal to within _EPS of the product of
-    their norms.  Those norms, over scale, are A's singular values, each with
-    a small relative error, the smallest included.  scale is the power of two
-    that brings A's largest entry below 1.  The norms come from math.hypot,
-    which squares no entry: the square of a column near 1e-200 underflows.
+    Returns (w, v, scale, norms) with scale * A * V = W, given by their
+    columns: V orthogonal and W's columns orthogonal to within _EPS of the
+    product of their norms.  norms holds those norms, which over scale are
+    A's singular values, each with a small relative error, the smallest
+    included.  scale is the power of two that brings A's largest entry
+    below 1.  The norms come from math.hypot, which squares no entry: the
+    square of a column near 1e-200 underflows.
     Equal columns rotate to an exact zero column.
     """
     scale = 2.0 ** -math.frexp(max(map(abs, chain(*columns))))[1]
@@ -66,28 +67,26 @@ def jacobi(columns) -> tuple:
                 norms[q] = math.hypot(*w[q])
         if not rotated:
             break
-    return w, v, scale
+    return w, v, scale, norms
 
 
-def condition_number(w) -> float:
-    """sigma_max / sigma_min of A, from the columns w of jacobi's W.
+def condition_number(norms) -> float:
+    """sigma_max / sigma_min of A, from jacobi's norms of W's columns.
 
     A zero column of W makes A singular and gives inf.
     """
-    sigmas = [math.hypot(*column) for column in w]
-    return max(sigmas) / min(sigmas) if min(sigmas) > 0.0 else math.inf
+    return max(norms) / min(norms) if min(norms) > 0.0 else math.inf
 
 
-def _pseudo_solve(w, v, scale, b) -> list:
+def _pseudo_solve(w, v, scale, norms, b) -> list:
     """scale V diag(1/sigma^2) W^T b, the least-squares x of A x ~ b.
 
     sigma is the norm of a column w of W.  Each (w.b) / sigma * (scale / sigma)
     divides before it multiplies: sigma^2 underflows where sigma is near 1e-200.
     """
-    coefficients = []
-    for column in w:
-        sigma = math.hypot(*column)
-        coefficients.append(sum(map(mul, column, b)) / sigma * (scale / sigma))
+    coefficients = [
+        sum(map(mul, column, b)) / sigma * (scale / sigma) for column, sigma in zip(w, norms)
+    ]
     return [sum(map(mul, row, coefficients)) for row in zip(*v)]
 
 
@@ -114,17 +113,18 @@ def exact_residual(values, columns, x) -> list:
     return list(map(math.fsum, zip(*parts)))
 
 
-def solve(w, v, scale, columns, values) -> tuple:
+def solve(w, v, scale, norms, columns, values) -> tuple:
     """The least-squares x of A x ~ values, and ||A x - values||_2.
 
-    A is given by its columns and by jacobi's (w, v, scale) of them.  The
-    solution takes one refinement step on the residual rounded once per
-    row, which brings it to within a few ulps of the exact least-squares
-    solution; the step is skipped where an entry reaches _REFINE_BELOW.
+    A is given by its columns and by jacobi's (w, v, scale, norms) of
+    them.  The solution takes one refinement step on the residual rounded
+    once per row, which brings it to within a few ulps of the exact
+    least-squares solution; the step is skipped where an entry reaches
+    _REFINE_BELOW.
     """
-    x = _pseudo_solve(w, v, scale, values)
+    x = _pseudo_solve(w, v, scale, norms, values)
     if max(map(abs, chain(values, x, *columns))) < _REFINE_BELOW:
-        correction = _pseudo_solve(w, v, scale, exact_residual(values, columns, x))
+        correction = _pseudo_solve(w, v, scale, norms, exact_residual(values, columns, x))
         x = list(map(float.__add__, x, correction))
     residual = list(values)
     for column, c in zip(columns, x):

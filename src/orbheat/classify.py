@@ -57,14 +57,6 @@ class OrbifoldClass(Record):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "bound", bound)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.bound) == (other.kind, other.bound)
-
-    def __hash__(self):
-        return hash((self.kind, self.bound))
-
 
 class Verdict(Enum):
     BY_C = "ByC"
@@ -340,14 +332,6 @@ class CollisionPair(Record):
         object.__setattr__(self, "sig_b", sig_b)
         object.__setattr__(self, "c", c)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.sig_a, self.sig_b, self.c) == (other.sig_a, other.sig_b, other.c)
-
-    def __hash__(self):
-        return hash((self.sig_a, self.sig_b, self.c))
-
     def to_json(self) -> dict:
         return {
             "sig_a": render(self.sig_a),
@@ -459,16 +443,6 @@ class PillowSeparation(Record):
         object.__setattr__(self, "distinguished", distinguished)
         object.__setattr__(self, "negative_member", negative_member)
         object.__setattr__(self, "positive_member", positive_member)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.distinguished, self.negative_member, self.positive_member) == (
-            other.distinguished, other.negative_member, other.positive_member
-        )
-
-    def __hash__(self):
-        return hash((self.distinguished, self.negative_member, self.positive_member))
 
 
 def pillow_negative_vs_rest(c_value) -> PillowSeparation:

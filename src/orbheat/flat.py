@@ -274,14 +274,6 @@ class TraceSamples(Record):
                 raise ValueError("sample times must be strictly decreasing")
         object.__setattr__(self, "points", pts)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.points == other.points
-
-    def __hash__(self):
-        return hash((self.points,))
-
     @property
     def times(self) -> tuple:
         return tuple(t for t, _ in self.points)
@@ -312,13 +304,6 @@ class FitResult(Record):
         object.__setattr__(self, "residual", residual)
         object.__setattr__(self, "condition", condition)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coefficients, self.residual, self.condition) == (
-            other.coefficients, other.residual, other.condition
-        )
-
     __hash__ = None
 
 
@@ -348,13 +333,13 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
 
     times, values = zip(*samples.points)
     columns = [[t**e for t in times] for e in map(float, degs)]
-    w, v, scale = jacobi(columns)
-    condition = condition_number(w)
+    w, v, scale, norms = jacobi(columns)
+    condition = condition_number(norms)
     if not math.isfinite(condition) or condition > condition_limit:
         raise IllConditioned(
             f"design matrix condition {condition:.3e} exceeds limit {condition_limit:.3e}"
         )
-    solution, residual = solve(w, v, scale, columns, values)
+    solution, residual = solve(w, v, scale, norms, columns, values)
     return FitResult(
         coefficients=dict(zip(degs, solution)), residual=residual, condition=condition
     )

@@ -95,16 +95,6 @@ class MetricData(Record):
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "mirror_length", mirror_length)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.curvature, self.area, self.mirror_length) == (
-            other.curvature, other.area, other.mirror_length
-        )
-
-    def __hash__(self):
-        return hash((self.curvature, self.area, self.mirror_length))
-
 
 def _c_weight(m: int) -> int:
     return (m - 1) ** 2
@@ -198,11 +188,6 @@ class HeatExpansion(Record):
         if float(coefficients[Fraction(-1)]) <= 0:
             raise ValueError("degree -1 coefficient (area term) must be positive")
         object.__setattr__(self, "coefficients", dict(coefficients))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
 
     __hash__ = None
 

@@ -89,16 +89,6 @@ class OrbifoldSignature(Record):
             tuple(sorted(tuple(sorted(c)) for c in mirror_boundaries)),
         )
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.handles, self.crosscaps, self.cone_points, self.mirror_boundaries) == (
-            other.handles, other.crosscaps, other.cone_points, other.mirror_boundaries
-        )
-
-    def __hash__(self):
-        return hash((self.handles, self.crosscaps, self.cone_points, self.mirror_boundaries))
-
     @property
     def corner_orders(self) -> tuple:
         """All corner-reflector orders, flattened across boundary components."""

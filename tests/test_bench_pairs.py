@@ -81,3 +81,24 @@ def test_identical_ratios_are_no_regression():
     }
     assert compare([1.0] * 9 + [0.0], "higher", 0.01, parent=ones)["verdict"] == "no_regression"
     assert compare([0.98] * 10, "higher", 0.01, parent=ones)["verdict"] == "regression"
+
+
+@pytest.mark.parametrize("pairs, accepted", [("0", False), ("1", False), ("2", True)])
+def test_fewer_than_two_pairs_exit_before_any_run(monkeypatch, capsys, pairs, accepted):
+    class Extracted(Exception):
+        pass
+
+    def extract(rev, into):
+        raise Extracted
+
+    monkeypatch.chdir(_PATH.parents[1])
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    argv = ["--parent", "HEAD", "--change", "HEAD", "--out", "unused.json", "--pairs", pairs]
+    if accepted:
+        with pytest.raises(Extracted):
+            bench_pairs.main(argv)
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv)
+        assert exit_info.value.code == 2
+        assert "need at least 2 pairs" in capsys.readouterr().err

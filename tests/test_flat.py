@@ -479,8 +479,8 @@ def test_jacobi_condition_of_dependent_rows_is_huge(rows, weight):
     # weighted sum of the others, so sigma_min is at most rounding; the
     # rotations must end without a math error.
     dependent = [weight * sum(column) for column in zip(*rows)]
-    w, _, _ = _lstsq.jacobi([*rows, dependent])
-    assert _lstsq.condition_number(w) > 1e12
+    _, _, _, norms = _lstsq.jacobi([*rows, dependent])
+    assert _lstsq.condition_number(norms) > 1e12
 
 
 def exact_rank(vectors) -> int:
@@ -513,7 +513,7 @@ def exact_rank(vectors) -> int:
 )
 def test_jacobi_decomposition_of_full_rank_designs(columns):
     assume(exact_rank(columns) == len(columns))
-    w, v, scale = _lstsq.jacobi(columns)
+    w, v, scale, _ = _lstsq.jacobi(columns)
     n, m = len(columns), len(columns[0])
     # Each column of V takes n - 1 rotations a sweep, each adding about an
     # ulp of error: over 4000 drawn designs the largest was 2 ulps at n = 2

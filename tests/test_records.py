@@ -123,6 +123,8 @@ def test_equal_values_hash_equal(make, field, text, hashable):
     assert a is not b
     assert a == b and not a != b
     assert a != repr(a)
+    # Equal field values in another class, here a plain tuple, are unequal.
+    assert a != tuple(getattr(a, name) for name in a.__slots__)
     if hashable:
         assert hash(a) == hash(b)
     else:

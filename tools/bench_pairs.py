@@ -138,12 +138,20 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
     return report
 
 
+def pair_count(text: str) -> int:
+    """--pairs as an int of at least 2, the fewest runs that have quartiles."""
+    pairs = int(text)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs, got {pairs}")
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seed0", type=int, default=1000)
     args = parser.parse_args(argv)
 
