@@ -26,11 +26,11 @@ from fractions import Fraction
 from ._record import Record
 from .heat import HeatExpansion, c_ratio, spectral_c
 from .notation import render
-from .signature import OrbifoldSignature, euler_characteristic, rational_to_json
+from .signature import OrbifoldSignature, euler_characteristic, is_bad, rational_to_json
 
 
 class UnsupportedFamily(ValueError):
-    """Signature outside the families covered by the built-in length table."""
+    """Signature with no mirror length on the unit sphere: no mirror, bad, or chi <= 0."""
 
 
 class AmbiguousZero(ArithmeticError):
@@ -505,47 +505,33 @@ def curvature_sign(expansion: HeatExpansion, abs_K, sig: OrbifoldSignature) -> C
     )
 
 
-# Number of reflection great circles on the unit sphere for each supported
-# mirrored spherical family, derived by orbit counting and validated against
-# the spherical-triangle-perimeter oracle in the tests.
-def _reflection_circles(sig: OrbifoldSignature):
-    if sig.handles or sig.crosscaps or len(sig.mirror_boundaries) != 1:
-        return None
-    cones = sig.cone_points
-    corners = sig.mirror_boundaries[0]
-    if not cones:
-        if len(corners) == 2 and corners[0] == corners[1]:
-            return corners[0]  # (*m,m)
-        if len(corners) == 3 and corners[:2] == (2, 2):
-            return corners[2] + 1  # (*2,2,m)
-        return {(2, 3, 3): 6, (2, 3, 4): 9, (2, 3, 5): 15}.get(corners)  # (*2,3,n)
-    if len(cones) == 1 and not corners:
-        return 1  # (m*)
-    if cones == (2,) and len(corners) == 1:
-        return corners[0]  # (2,*m)
-    if cones == (3,) and corners == (2,):
-        return 3  # (3,*2)
-    return None
-
-
 def _unit_length_over_pi(sig: OrbifoldSignature) -> Fraction:
-    k = _reflection_circles(sig)
-    if k is None:
+    """Mirror length over pi of the K = 1 structure on a good mirrored chi > 0 orbifold.
+
+    It is S^2/G with |G| = 2/chi, and its mirrors lift to k reflection great
+    circles; any two cross at two points, each a lift of a corner.  A
+    corner of order n lifts to |G|/(2n) points on n circles each, so it
+    accounts for (n - 1)|G|/4 of the k(k - 1) (pair, crossing) incidences:
+    k(k - 1) = sum (n - 1) / (2 chi).  G fixes a generic mirror point with
+    a reflection alone, so it folds the circles' length 2 pi k to
+    4 pi k / |G| = 2 pi k chi.
+    """
+    chi = euler_characteristic(sig)
+    if not sig.has_mirrors or is_bad(sig) or chi <= 0:
         raise UnsupportedFamily(
-            f"no mirror-length table entry for signature {render(sig) or 'sphere'!r}"
+            f"signature {render(sig) or 'sphere'!r} is not a good mirrored spherical orbifold"
         )
-    # Total mirror length is 4 pi k / |Gamma| with |Gamma| = 2 / chi: each of
-    # the k great circles (length 2 pi, total 2 pi k) is folded by the index-2
-    # generic mirror-point stabilizer, leaving 2 pi k * (2 / |Gamma|) / 2.
-    return 2 * Fraction(k) * euler_characteristic(sig)
+    crossings = sum(n - 1 for n in sig.corner_orders) / (2 * chi)
+    k = (1 + math.isqrt(1 + 4 * int(crossings))) // 2
+    return 2 * k * chi
 
 
 def unit_sphere_mirror_length(sig: OrbifoldSignature) -> float:
-    """Mirror-locus length of the K = 1 structure on a supported family.
+    """Mirror-locus length of the K = 1 structure on a good mirrored orbifold with chi > 0.
 
-    Supported: (*m,m), (m*), (*2,2,m), (2,*m), (*2,3,3), (*2,3,4), (*2,3,5)
-    and (3,*2), every mirrored spherical family; other signatures raise
-    UnsupportedFamily.
+    These are the disk (*) and the mirrored spherical families (*m,m), (m*),
+    (*2,2,m), (2,*m), (*2,3,3), (*2,3,4), (*2,3,5) and (3,*2); any other
+    signature raises UnsupportedFamily.
     """
     return float(_unit_length_over_pi(sig)) * math.pi
 

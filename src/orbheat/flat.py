@@ -26,7 +26,7 @@ mirror-torus  reflection (-x, y)         1/2      2          (theta1^2 + theta1)
 
 theta1 sums the direct series for t >= 1/(4 pi), where the two exponents
 are equal, and the dual one below, so at every t > 0 it needs at most 4
-terms at the default tolerance and 16 at the tightest one.
+terms.
 
 brute_force_trace recomputes the trace a second, independent way: average
 over the deck group of character sums on the lattice eigenbasis, with
@@ -121,7 +121,7 @@ _SQRT_FOUR_PI = math.sqrt(4.0 * math.pi)
 _DUAL_BELOW = 1.0 / (4.0 * math.pi)
 
 
-def theta1(t: float, eps: float = 1e-15) -> float:
+def theta1(t: float) -> float:
     """One-dimensional lattice sum sum_{k in Z} exp(-4 pi^2 k^2 t).
 
     Both this series and Jacobi's dual form
@@ -131,14 +131,12 @@ def theta1(t: float, eps: float = 1e-15) -> float:
     are sums of exp(-a k^2); the loop sums the direct one (a = 4 pi^2 t)
     for t >= 1/(4 pi) and the dual one (a = 1/(4t)) below, so a >= pi
     and the terms fall at least as fast as exp(-pi k^2): at every t > 0
-    the loop runs at most 4 times at the default eps and 16 at any eps.
-    The sum is truncated as soon as a bound on the whole omitted tail
-    drops below eps times the current partial sum.
+    the loop runs at most 4 times.  The sum is truncated as soon as a
+    bound on the whole omitted tail drops below 1e-15 times the current
+    partial sum.
     """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"t must be finite and > 0, got {t!r}")
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     if t >= _DUAL_BELOW:
         a, scale = _FOUR_PI_SQ * t, 1.0
     else:
@@ -151,9 +149,9 @@ def theta1(t: float, eps: float = 1e-15) -> float:
         term = 2.0 * math.exp(-a * k * k)
         # The whole remaining tail is a sub-geometric series with ratio
         # at most exp(-a(2k+1)); stop only once the tail bound, not just
-        # the next term, is below eps times the sum so far.
+        # the next term, is below 1e-15 times the sum so far.
         tail_bound = term / -math.expm1(-a * (2 * k + 1))
-        if tail_bound <= eps * total:
+        if tail_bound <= 1e-15 * total:
             return total / scale
         total += term
         k += 1
@@ -250,11 +248,11 @@ def brute_force_trace(model: FlatModel, t: float, cutoff: float) -> float:
     )
 
 
-def default_grid(start: float = 1e-2, ratio: float = 0.7, count: int = 12) -> tuple:
-    """Geometric sample times start * ratio^i, i = 0..count-1 (decreasing)."""
-    if not (start > 0) or not (0 < ratio < 1) or count < 1:
-        raise ValueError("need start > 0, 0 < ratio < 1, count >= 1")
-    return tuple(start * ratio**i for i in range(count))
+def default_grid(start: float = 1e-2) -> tuple:
+    """The 12 geometric sample times start * 0.7^i, i = 0..11 (decreasing)."""
+    if not (start > 0):
+        raise ValueError(f"start must be > 0, got {start!r}")
+    return tuple(start * 0.7**i for i in range(12))
 
 
 class TraceSamples(Record):
@@ -364,15 +362,15 @@ def degree_label(d: Fraction) -> str:
     return f"{float(d):g}"
 
 
-def verify_model(model: FlatModel, degrees=FIT_DEGREES, times=None) -> dict:
-    """Fit the sampled trace and compare against predicted coefficients.
+def verify_model(model: FlatModel, times=None) -> dict:
+    """Fit the sampled trace at FIT_DEGREES and compare against predicted coefficients.
 
     Returns {degree: {fitted, predicted, abs_err, rel_err}} with degree
     keys like "-1", "-0.5", "0".  rel_err falls back to the absolute error
     when the predicted value is zero.
     """
     samples = sample_trace(model, times)
-    fit = fit_expansion(samples, degrees)
+    fit = fit_expansion(samples, FIT_DEGREES)
     predicted = predicted_expansion(model)
     report = {}
     for d in fit.coefficients:

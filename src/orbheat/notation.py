@@ -24,6 +24,7 @@ offending token in the input string.
 from __future__ import annotations
 
 import re
+import sys
 from enum import Enum
 
 from .signature import OrbifoldSignature
@@ -31,6 +32,7 @@ from .signature import OrbifoldSignature
 
 class NotationErrorKind(Enum):
     ORDER_TOO_SMALL = "OrderTooSmall"
+    ORDER_TOO_LARGE = "OrderTooLarge"
     OUT_OF_ORDER_TOKEN = "OutOfOrderToken"
     UNKNOWN_CHARACTER = "UnknownCharacter"
 
@@ -85,7 +87,15 @@ def _tokenize(text: str, offset: int):
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            value = int(text[i:j])
+            try:
+                value = int(text[i:j])
+            except ValueError:  # more digits than int() converts
+                raise NotationError(
+                    NotationErrorKind.ORDER_TOO_LARGE,
+                    offset + i,
+                    f"order has {j - i} digits, more than the limit of "
+                    f"{sys.get_int_max_str_digits()}",
+                ) from None
             if value < 2:
                 raise NotationError(
                     NotationErrorKind.ORDER_TOO_SMALL,
@@ -107,7 +117,8 @@ def parse(text: str) -> OrbifoldSignature:
     """Parse notation text into a normalized OrbifoldSignature.
 
     The empty string (after trimming) is the smooth sphere.  Raises
-    NotationError with kind ORDER_TOO_SMALL, OUT_OF_ORDER_TOKEN or
+    NotationError with kind ORDER_TOO_SMALL, ORDER_TOO_LARGE (more digits
+    than Python's int conversion limit), OUT_OF_ORDER_TOKEN or
     UNKNOWN_CHARACTER; the position is a character offset into the
     original string (offsets point into the replacement text when an
     alias was substituted).

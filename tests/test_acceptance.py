@@ -34,7 +34,6 @@ from orbheat.flat import (
     FlatModel,
     TraceSamples,
     brute_force_trace,
-    default_grid,
     fit_expansion,
     heat_trace,
     predicted_expansion,
@@ -181,7 +180,7 @@ def geodesic_remainder(model, t):
 
 def test_criterion_04_flat_spectrum_fits():
     started = time.monotonic()
-    grid = default_grid(0.01, 0.7, 12)
+    grid = tuple(0.01 * 0.7**i for i in range(12))
     violations = []
     for model in FlatModel:
         predicted = predicted_expansion(model)
@@ -363,7 +362,7 @@ def test_criterion_09_half_integer_term_predicate():
 
     # fitted t^{-1/2} coefficients split the models the same way; the grid
     # starts at 1e-3 so the Klein glide term (exp(-1/(16t)) scale) is dead
-    grid = default_grid(1e-3, 0.7, 12)
+    grid = tuple(1e-3 * 0.7**i for i in range(12))
     half = Fraction(-1, 2)
     fitted = {
         model: fit_expansion(sample_trace(model, grid), FIT_DEGREES).coefficients[half]

@@ -546,6 +546,7 @@ class TestUnitSphereMirrorLength:
     def test_family_lengths(self):
         pi = math.pi
         table = [
+            ("*", 2 * pi),  # the disk: a hemisphere bounded by its equator
             ("*3,3", 2 * pi),
             ("*7,7", 2 * pi),
             ("3*", 2 * pi / 3),
@@ -589,8 +590,29 @@ class TestUnitSphereMirrorLength:
             assert unit_sphere_mirror_length(parse(f"*{m},{m}")) > unit_sphere_mirror_length(parse(f"{m},*"))
         assert unit_sphere_mirror_length(parse("*2,3,3")) > unit_sphere_mirror_length(parse("3,*2"))
 
+    def test_reflection_circles_from_corner_crossings(self):
+        # Any two of the k reflection great circles of S^2/G cross at two
+        # points, and a corner of order n lifts to |G|/(2n) points on n
+        # circles each, so k(k - 1) = D with D = sum (n - 1) / (2 chi).  The
+        # reference counts are the per-family orbit counts, and the length
+        # must be the float of 2 pi k chi.
+        reference = [("*2,3,3", 6), ("3,*2", 3), ("*2,3,4", 9), ("*2,3,5", 15)]
+        for m in range(2, 501):
+            reference += [(f"*{m},{m}", m), (f"{m}*", 1), (f"*2,2,{m}", m + 1), (f"2,*{m}", m)]
+        for notation, circles in reference:
+            sig = parse(notation)
+            chi = euler_characteristic(sig)
+            crossings = sum(n - 1 for n in sig.corner_orders) / (2 * chi)
+            assert crossings.denominator == 1, notation
+            root = math.isqrt(1 + 4 * int(crossings))
+            assert root * root == 1 + 4 * crossings, notation
+            assert (1 + root) // 2 == circles, notation
+            assert unit_sphere_mirror_length(sig) == float(2 * circles * chi) * math.pi, notation
+
     def test_unsupported_families_raise(self):
-        for notation in ("2,3,5", "o", "*,*", "2,*3,3", "×"):
+        # no mirror; bad (*5, *2,3); chi = 0 (*,*, *2,2,2,2, 2,2,*); chi < 0
+        for notation in ("2,3,5", "o", "*,*", "2,*3,3", "×",
+                         "*5", "*2,3", "*2,2,2,2", "*2,3,7", "2,2,*"):
             with pytest.raises(UnsupportedFamily):
                 unit_sphere_mirror_length(parse(notation))
 

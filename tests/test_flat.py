@@ -57,14 +57,6 @@ def test_theta_poisson_limit():
     assert abs(theta1(1e-6) * math.sqrt(4 * math.pi * 1e-6) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("t", [1e-12, 1e-6, 1e-3, 0.05, 0.0795, 0.0797, 0.3, 2.0])
-@pytest.mark.parametrize("eps", [1e-8, 1e-10, 1e-12])
-def test_theta_truncation_soundness(t, eps):
-    coarse = theta1(t, eps)
-    fine = theta1(t, eps / 2)
-    assert abs(coarse - fine) < eps * coarse
-
-
 def theta_reference(t):
     """40-digit theta1(t) from mpmath's Jacobi theta_3 at nome exp(-4 pi^2 t).
 
@@ -105,10 +97,6 @@ def test_theta_rejects_bad_arguments():
         theta1(0.0)
     with pytest.raises(ValueError):
         theta1(-1.0)
-    with pytest.raises(ValueError):
-        theta1(0.1, eps=0.0)
-    with pytest.raises(ValueError):
-        theta1(0.1, eps=1.5)
 
 
 # === Model bookkeeping ===
@@ -628,7 +616,7 @@ def test_verify_klein_bottle_exposes_glide_geodesic_on_default_grid():
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_verify_all_models_clean_in_asymptotic_regime(model):
-    report = verify_model(model, times=default_grid(1e-3, 0.7, 12))
+    report = verify_model(model, times=tuple(1e-3 * 0.7**i for i in range(12)))
     for record in report.values():
         err = record["rel_err"] if record["predicted"] != 0 else record["abs_err"]
         assert err < 1e-9

@@ -106,6 +106,11 @@ ERROR_CASES = [
     ("abc", NotationErrorKind.UNKNOWN_CHARACTER, 0),
     ("2,²", NotationErrorKind.UNKNOWN_CHARACTER, 2),
     ("2,٣", NotationErrorKind.UNKNOWN_CHARACTER, 2),
+    # past int()'s digit limit (4300 by default); the id keeps the digits out
+    pytest.param(
+        "2," + "9" * 5000, NotationErrorKind.ORDER_TOO_LARGE, 2,
+        id="2,<5000 nines>-NotationErrorKind.ORDER_TOO_LARGE-2",
+    ),
 ]
 
 
