@@ -610,7 +610,8 @@ class TestUnitSphereMirrorLength:
             assert unit_sphere_mirror_length(sig) == float(2 * circles * chi) * math.pi, notation
 
     def test_unsupported_families_raise(self):
-        # no mirror; bad (*5, *2,3); chi = 0 (*,*, *2,2,2,2, 2,2,*); chi < 0
+        # no mirror (2,3,5, o, ×); bad (*5, *2,3); chi = 0 (*,*, *2,2,2,2, 2,2,*);
+        # chi < 0 (2,*3,3, *2,3,7)
         for notation in ("2,3,5", "o", "*,*", "2,*3,3", "×",
                          "*5", "*2,3", "*2,2,2,2", "*2,3,7", "2,2,*"):
             with pytest.raises(UnsupportedFamily):
