@@ -26,7 +26,14 @@ from fractions import Fraction
 from ._record import Record
 from .heat import HeatExpansion, c_ratio, spectral_c
 from .notation import render
-from .signature import OrbifoldSignature, euler_characteristic, is_bad, rational_to_json
+from .signature import (
+    GeometryType,
+    OrbifoldSignature,
+    euler_characteristic,
+    geometry_type,
+    is_bad,
+    rational_to_json,
+)
 
 
 class UnsupportedFamily(ValueError):
@@ -539,11 +546,20 @@ def unit_sphere_mirror_length(sig: OrbifoldSignature) -> float:
 def spherical_distinguish(a: OrbifoldSignature, b: OrbifoldSignature) -> Verdict:
     """How the spectrum separates two spherical constant-curvature orbifolds.
 
-    ByC when the exact spectral constants differ; otherwise
-    ByMirrorPresence when exactly one has a mirror locus (the degree -1/2
-    term); otherwise ByMirrorLength when the unit-sphere mirror lengths
-    differ.  NotDistinguished only for identical signatures.
+    Both signatures must be spherical (geometry_type SPHERICAL); a bad,
+    flat or hyperbolic one raises ValueError.  ByC when the exact spectral
+    constants differ; otherwise ByMirrorPresence when exactly one has a
+    mirror locus (the degree -1/2 term); otherwise ByMirrorLength when the
+    unit-sphere mirror lengths differ.  NotDistinguished only for identical
+    signatures.
     """
+    for sig in (a, b):
+        kind = geometry_type(sig)
+        if kind is not GeometryType.SPHERICAL:
+            raise ValueError(
+                f"signature {render(sig) or 'sphere'!r} is {kind.value}, not Spherical; "
+                "this comparison covers spherical orbifolds only"
+            )
     if spectral_c(a) != spectral_c(b):
         return Verdict.BY_C
     if a.has_mirrors != b.has_mirrors:

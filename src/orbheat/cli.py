@@ -147,7 +147,7 @@ def _cmd_c(args) -> int:
 
 
 def _cmd_expansion(args) -> int:
-    from .heat import GaussBonnetViolation, MetricData, full_expansion
+    from .heat import DEGREES, GaussBonnetViolation, MetricData, full_expansion
     from .notation import parse
     from .signature import euler_characteristic
 
@@ -170,13 +170,7 @@ def _cmd_expansion(args) -> int:
     except GaussBonnetViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = [
-        f"deg -1: {expansion.as_float(-1)!r}",
-        f"deg -1/2: {expansion.as_float(Fraction(-1, 2))!r}",
-        f"deg 0: {expansion.degree_zero}",
-        f"deg 1/2: {expansion.as_float(Fraction(1, 2))!r}",
-        f"deg 1: {expansion[1]}",
-    ]
+    text = [f"deg {d}: {expansion[d]}" for d in DEGREES]
     _emit(args, expansion.to_json(), text)
     return 0
 

@@ -353,7 +353,7 @@ def predicted_expansion(model: FlatModel) -> HeatExpansion:
     return full_expansion(model.signature, metric)
 
 
-# The degrees that fit and verify solve for by default.
+# The degrees that fit and verify solve for; no caller chooses others.
 FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
 
 

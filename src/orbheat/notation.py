@@ -61,56 +61,9 @@ ALIASES = {
 }
 
 _SEPARATORS = " \t\r\n,"
-_CROSSES = "x×"
+_CROSSES = "xX×"
 _DIGITS = "0123456789"  # ASCII only: str.isdigit() also accepts "²" and "٣"
 _WRAPPER = re.compile(r"^[Oo]?\s*\((.*)\)\s*$", re.S)
-
-
-def _tokenize(text: str, offset: int):
-    """Yield (kind, value, position) triples; kinds: handle, order, mirror, cross."""
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in _SEPARATORS:
-            i += 1
-        elif ch in ("o", "O"):
-            tokens.append(("handle", 0, offset + i))
-            i += 1
-        elif ch == "*":
-            tokens.append(("mirror", 0, offset + i))
-            i += 1
-        elif ch in _CROSSES or ch == "X":
-            tokens.append(("cross", 0, offset + i))
-            i += 1
-        elif ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            try:
-                value = int(text[i:j])
-            except ValueError:  # more digits than int() converts
-                raise NotationError(
-                    NotationErrorKind.ORDER_TOO_LARGE,
-                    offset + i,
-                    f"order has {j - i} digits, more than the limit of "
-                    f"{sys.get_int_max_str_digits()}",
-                ) from None
-            if value < 2:
-                raise NotationError(
-                    NotationErrorKind.ORDER_TOO_SMALL,
-                    offset + i,
-                    f"order {value} is below the minimum of 2",
-                )
-            tokens.append(("order", value, offset + i))
-            i = j
-        else:
-            raise NotationError(
-                NotationErrorKind.UNKNOWN_CHARACTER,
-                offset + i,
-                f"unexpected character {ch!r}",
-            )
-    return tokens
 
 
 def parse(text: str) -> OrbifoldSignature:
@@ -121,79 +74,90 @@ def parse(text: str) -> OrbifoldSignature:
     than Python's int conversion limit), OUT_OF_ORDER_TOKEN or
     UNKNOWN_CHARACTER; the position is a character offset into the
     original string (offsets point into the replacement text when an
-    alias was substituted).
+    alias was substituted).  Every character fault outranks every
+    misplaced token: the text is read to its end before the first
+    misplaced handle or order is reported.
     """
     if not isinstance(text, str):
         raise TypeError("notation must be a string")
-    stripped = text.strip()
+    body = text.strip()
     offset = len(text) - len(text.lstrip())
-    lowered = stripped.lower()
-    if lowered in ALIASES:
-        stripped, offset = ALIASES[lowered], 0
-    elif "(" in stripped or ")" in stripped:
-        match = _WRAPPER.match(stripped)
+    if "(" in body or ")" in body:
+        match = _WRAPPER.match(body)
         if match is None:
-            bad = stripped.index("(") if "(" in stripped else stripped.index(")")
+            bad = body.index("(") if "(" in body else body.index(")")
             raise NotationError(
                 NotationErrorKind.UNKNOWN_CHARACTER,
                 offset + bad,
                 "unbalanced wrapper parentheses",
             )
-        inner = match.group(1)
-        if inner.strip().lower() in ALIASES:
-            stripped, offset = ALIASES[inner.strip().lower()], 0
-        else:
-            offset += match.start(1)
-            stripped = inner
+        body, offset = match.group(1), offset + match.start(1)
+    alias = ALIASES.get(body.strip().lower())
+    if alias is not None:
+        body, offset = alias, 0
 
-    tokens = _tokenize(stripped, offset)
-
-    handles = 0
-    crosscaps = 0
-    cones = []
-    boundaries = []
-    open_corners = None  # corner list of the still-open mirror boundary
-    in_tail = False  # a "*" or cross has been seen
-
-    for kind, value, pos in tokens:
-        if kind == "handle":
-            if in_tail or cones:
-                raise NotationError(
-                    NotationErrorKind.OUT_OF_ORDER_TOKEN,
-                    pos,
-                    "handle marker 'o' must precede cone points and mirrors",
+    handles = crosscaps = 0
+    cones, boundaries = [], []
+    corners = None  # corner list of the still-open mirror boundary
+    misplaced = None  # (position, message) of the first out-of-order token
+    i = 0
+    while i < len(body):
+        start, ch = i, body[i]
+        i += 1
+        if ch in _SEPARATORS:
+            continue
+        if ch in "oO":
+            if cones or boundaries or crosscaps:
+                misplaced = misplaced or (
+                    offset + start, "handle marker 'o' must precede cone points and mirrors"
                 )
             handles += 1
-        elif kind == "order":
-            if not in_tail:
-                cones.append(value)
-            elif open_corners is not None:
-                open_corners.append(value)
-            else:
-                raise NotationError(
-                    NotationErrorKind.OUT_OF_ORDER_TOKEN,
-                    pos,
-                    "corner order appears with no open mirror boundary",
-                )
-        elif kind == "mirror":
-            in_tail = True
-            if open_corners is not None:
-                boundaries.append(tuple(open_corners))
-            open_corners = []
-        else:  # cross
-            in_tail = True
-            if open_corners is not None:
-                boundaries.append(tuple(open_corners))
-                open_corners = None
+        elif ch == "*":
+            corners = []
+            boundaries.append(corners)
+        elif ch in _CROSSES:
+            corners = None
             crosscaps += 1
-    if open_corners is not None:
-        boundaries.append(tuple(open_corners))
+        elif ch in _DIGITS:
+            while i < len(body) and body[i] in _DIGITS:
+                i += 1
+            try:
+                value = int(body[start:i])
+            except ValueError:  # more digits than int() converts
+                raise NotationError(
+                    NotationErrorKind.ORDER_TOO_LARGE,
+                    offset + start,
+                    f"order has {i - start} digits, more than the limit of "
+                    f"{sys.get_int_max_str_digits()}",
+                ) from None
+            if value < 2:
+                raise NotationError(
+                    NotationErrorKind.ORDER_TOO_SMALL,
+                    offset + start,
+                    f"order {value} is below the minimum of 2",
+                )
+            if corners is not None:
+                corners.append(value)
+            elif boundaries or crosscaps:
+                misplaced = misplaced or (
+                    offset + start, "corner order appears with no open mirror boundary"
+                )
+            else:
+                cones.append(value)
+        else:
+            raise NotationError(
+                NotationErrorKind.UNKNOWN_CHARACTER,
+                offset + start,
+                f"unexpected character {ch!r}",
+            )
+    if misplaced:
+        raise NotationError(NotationErrorKind.OUT_OF_ORDER_TOKEN, *misplaced)
 
     return OrbifoldSignature(
         handles=handles,
         crosscaps=crosscaps,
         cone_points=tuple(cones),
-        mirror_boundaries=tuple(boundaries),
+        mirror_boundaries=tuple(map(tuple, boundaries)),
     )
 
 
@@ -202,19 +166,6 @@ def render(sig: OrbifoldSignature) -> str:
 
     render(parse(s)) is idempotent and parse(render(sig)) == sig.
     """
-    atoms = []
-    atoms.extend("o" for _ in range(sig.handles))
-    atoms.extend(str(m) for m in sig.cone_points)
-    for component in sig.mirror_boundaries:
-        atoms.append("*")
-        atoms.extend(str(n) for n in component)
-    atoms.extend("×" for _ in range(sig.crosscaps))
-
-    out = []
-    for i, atom in enumerate(atoms):
-        if i > 0:
-            glued = atom == "×" or (atoms[i - 1] == "*" and atom[0].isdigit())
-            if not glued:
-                out.append(",")
-        out.append(atom)
-    return "".join(out)
+    atoms = ["o"] * sig.handles + [str(m) for m in sig.cone_points]
+    atoms += ["*" + ",".join(map(str, corners)) for corners in sig.mirror_boundaries]
+    return ",".join(atoms) + "×" * sig.crosscaps

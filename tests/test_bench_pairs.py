@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,23 @@ def test_fewer_than_two_pairs_exit_before_any_run(monkeypatch, capsys, pairs, ac
             bench_pairs.main(argv)
         assert exit_info.value.code == 2
         assert "need at least 2 pairs" in capsys.readouterr().err
+
+
+def test_main_reads_the_benchmark_from_the_repository_root(monkeypatch, tmp_path):
+    calls = []
+
+    def run_pairs(args, work, workloads, seconds, declared):
+        calls.append((workloads, seconds, sorted(declared)))
+        return {"workloads": {}}
+
+    monkeypatch.chdir(_PATH.parents[1] / "tests")
+    monkeypatch.setattr(bench_pairs, "run_pairs", run_pairs)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--out", str(out)]) == 0
+    declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    assert calls == [(
+        [w["name"] for w in declared["workloads"]],
+        declared["run_seconds"],
+        sorted(m["name"] for m in declared["end_to_end"]),
+    )]
+    assert json.loads(out.read_text()) == {"workloads": {}}

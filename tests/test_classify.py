@@ -536,6 +536,22 @@ class TestSphericalDistinguish:
         for notation in ("3,3", "*2,3,4", "*2,3,5"):
             assert spherical_distinguish(parse(notation), parse(notation)) == Verdict.NOT_DISTINGUISHED
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("2,3,7", "3,3,4"),  # hyperbolic, distinct c
+            ("*2,3,7", "*2,3,7"),  # mirrored hyperbolic
+            ("o", "o"),  # flat
+            ("2,2,2,2", "*2,2,2,2"),  # flat, mirror presence differs
+            ("2", "2"),  # bad
+            ("*2,3", "2,3"),  # bad, mirrored against mirrorless
+        ],
+    )
+    def test_non_spherical_rejected(self, a, b):
+        for pair in ((a, b), ("2,3,5", a), (a, "2,3,5")):
+            with pytest.raises(ValueError, match="covers spherical orbifolds only"):
+                spherical_distinguish(*map(parse, pair))
+
     def test_symmetric_in_arguments(self):
         cases = [("*2,3,3", "3,*2"), ("4×", "4*"), ("2,3,4", "2,3,5")]
         for a, b in cases:

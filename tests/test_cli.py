@@ -168,6 +168,24 @@ class TestClassifyCommand:
         assert code == 0
         assert json.loads(out) == {"verdict": "ByMirrorPresence"}
 
+    @pytest.mark.parametrize(
+        "a, b, shown",
+        [
+            ("2,3,7", "3,3,4", "'2,3,7' is Hyperbolic"),
+            ("*2,3,7", "*2,3,7", "'*2,3,7' is Hyperbolic"),
+            ("o", "o", "'o' is Euclidean"),
+            ("2", "2", "'2' is BadPositive"),
+        ],
+    )
+    def test_spherical_rejects_other_geometries(self, capsys, a, b, shown):
+        code, out, err = invoke(capsys, "classify", "--class", "spherical", "--pair", a, b)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: signature {shown}, not Spherical; "
+            "this comparison covers spherical orbifolds only\n"
+        )
+
     def test_positive_zero_pair(self, capsys):
         code, out, _ = invoke(
             capsys, "classify", "--class", "positive-zero", "--pair", "", "*3,3,3"

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbheat.notation import (
     NotationError,
@@ -111,6 +114,13 @@ ERROR_CASES = [
         "2," + "9" * 5000, NotationErrorKind.ORDER_TOO_LARGE, 2,
         id="2,<5000 nines>-NotationErrorKind.ORDER_TOO_LARGE-2",
     ),
+    # Several faults: any character fault outranks any misplaced token.
+    ("*o1", NotationErrorKind.ORDER_TOO_SMALL, 2),
+    ("xo;", NotationErrorKind.UNKNOWN_CHARACTER, 2),
+    ("x2;", NotationErrorKind.UNKNOWN_CHARACTER, 2),
+    ("2,o,1", NotationErrorKind.ORDER_TOO_SMALL, 4),
+    ("*2x3,1", NotationErrorKind.ORDER_TOO_SMALL, 5),
+    ("O(x2;)", NotationErrorKind.UNKNOWN_CHARACTER, 4),
 ]
 
 
@@ -121,6 +131,52 @@ def test_parse_errors(text, kind, position):
     assert info.value.kind is kind
     assert info.value.position == position
     assert f"position {position}" in str(info.value)
+
+
+FAULT_ALPHABET = "o*x×X21 ,;(O3"
+
+
+def first_fault(text):
+    """(kind, position) that parse must raise for text over FAULT_ALPHABET, or None.
+
+    A "(" without a matching wrapper fails first, then the first character
+    fault (";" or the order 1), and only then the first misplaced token: a
+    handle after a cone point, mirror or cross, or an order after a cross
+    with no "*" since.
+    """
+    if "(" in text:
+        return NotationErrorKind.UNKNOWN_CHARACTER, text.index("(")
+    misplaced = None
+    cones = tail = open_boundary = False
+    for match in re.finditer(r"[0-9]+|.", text):
+        token, position = match.group(), match.start()
+        if token == ";":
+            return NotationErrorKind.UNKNOWN_CHARACTER, position
+        if token == "1":
+            return NotationErrorKind.ORDER_TOO_SMALL, position
+        if token in "oO" and (cones or tail) or token[0].isdigit() and tail and not open_boundary:
+            misplaced = position if misplaced is None else misplaced
+        elif token[0].isdigit():
+            cones = cones or not tail
+        elif token == "*":
+            tail = open_boundary = True
+        elif token in "x×X":
+            tail, open_boundary = True, False
+    if misplaced is not None:
+        return NotationErrorKind.OUT_OF_ORDER_TOKEN, misplaced
+    return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=st.text(alphabet=FAULT_ALPHABET, max_size=12))
+def test_character_faults_outrank_misplaced_tokens(text):
+    expected = first_fault(text)
+    if expected is None:
+        parse(text)
+    else:
+        with pytest.raises(NotationError) as info:
+            parse(text)
+        assert (info.value.kind, info.value.position) == expected
 
 
 def test_error_position_counts_characters_not_bytes():

@@ -13,7 +13,9 @@ The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the number of pairs in which the change was better,
 the change of the median, the parent's interquartile range and a verdict
 (see `compare`), plus the seeds, run order, source digests and host facts
-that bench/run.py reports.  Run from inside the repository.
+that bench/run.py reports.  Run from anywhere inside the repository: the
+commits are resolved by git in the current directory, BENCHMARK.json is read
+from the repository root.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed0", type=int, default=1000)
     args = parser.parse_args(argv)
 
-    declared = json.loads(Path("BENCHMARK.json").read_text())
+    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
