@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import types
 from pathlib import Path
 
 import pytest
@@ -123,3 +124,18 @@ def test_main_reads_the_benchmark_from_the_repository_root(monkeypatch, tmp_path
         sorted(m["name"] for m in declared["end_to_end"]),
     )]
     assert json.loads(out.read_text()) == {"workloads": {}}
+
+
+def test_extract_runs_git_at_the_repository_root(monkeypatch, tmp_path):
+    # From a subdirectory, `git archive` would write that subdirectory's tree only.
+    calls = []
+
+    def run(argv, cwd=None, **kwargs):
+        calls.append((argv[:2], cwd))
+        return types.SimpleNamespace(stdout="abc123\n" if argv[1] == "rev-parse" else b"")
+
+    monkeypatch.chdir(_PATH.parents[1] / "tests")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    assert bench_pairs.extract("HEAD", tmp_path / "tree") == "abc123"
+    root = _PATH.parents[1]
+    assert calls[:2] == [(["git", "rev-parse"], root), (["git", "archive"], root)]

@@ -13,9 +13,9 @@ The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the number of pairs in which the change was better,
 the change of the median, the parent's interquartile range and a verdict
 (see `compare`), plus the seeds, run order, source digests and host facts
-that bench/run.py reports.  Run from anywhere inside the repository: the
-commits are resolved by git in the current directory, BENCHMARK.json is read
-from the repository root.
+that bench/run.py reports.  Git, BENCHMARK.json and the commits' trees are
+all taken from the repository that holds this file, so it runs the same from
+any directory.
 """
 
 from __future__ import annotations
@@ -29,15 +29,18 @@ import shutil
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def extract(rev: str, into: Path) -> str:
     """Write the tree of `rev` into `into`; return the full commit hash."""
     sha = subprocess.run(
         ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
-        check=True, capture_output=True, text=True,
+        cwd=ROOT, check=True, capture_output=True, text=True,
     ).stdout.strip()
     into.mkdir(parents=True)
-    archive = subprocess.run(["git", "archive", sha], check=True, capture_output=True).stdout
+    # git archive run in a subdirectory would write only that subdirectory's tree.
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return sha
 
@@ -157,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed0", type=int, default=1000)
     args = parser.parse_args(argv)
 
-    declared = json.loads((Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
