@@ -57,6 +57,8 @@ class OrbifoldClass(Record):
     __slots__ = ("kind", "bound")
 
     def __init__(self, kind: ClassKind, bound: int = 500):
+        if not isinstance(kind, ClassKind):
+            raise ValueError(f"kind must be a ClassKind, got {kind!r}")
         if not isinstance(bound, int) or isinstance(bound, bool):
             raise ValueError(f"bound must be an int, got {bound!r}")
         if bound < 2:
@@ -148,14 +150,12 @@ def _stems(cls: OrbifoldClass):
         yield from _teardrops_footballs(B)
         yield from _nonneg_pillows(B)
         yield 0, 0, (2, 2, 2, 2), (), None
-    elif kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
+    else:
         for m in range(2, B + 1):
             for family in _SPHERICAL_FAMILIES:
                 yield (*family(m), None)
         for member in _spherical_fixed(B):
             yield (*member, None)
-    else:
-        raise ValueError(f"unknown class kind {kind!r}")
 
 
 def _roster(cls: OrbifoldClass):
@@ -187,11 +187,7 @@ def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
     return count
 
 
-def _teardrop(m: int) -> tuple:
-    return 0, 0, (m,), ()
-
-
-def _one_order(family, c: Fraction, bound: int | None):
+def _one_order(family, c: Fraction, bound: int):
     """The only order m in [2, bound] at which family(m) can have c, or None.
 
     Every stratum adds (n-1)^2/n or half of it to c, and
@@ -203,7 +199,7 @@ def _one_order(family, c: Fraction, bound: int | None):
     c2, c3 = (Fraction(*c_ratio(*family(m))) for m in (2, 3))
     b = (c3 - c2) * Fraction(6, 5)
     m = math.floor((c - c2 + b / 2) / b) + 2
-    return m if 2 <= m and (bound is None or m <= bound) else None
+    return m if 2 <= m <= bound else None
 
 
 def _order_pair(total: int, num: int, den: int):
@@ -221,79 +217,74 @@ def _order_pair(total: int, num: int, den: int):
     return (total - root) // 2, (total + root) // 2
 
 
-def _teardrop_football_candidates(c: Fraction, bound: int):
-    m = _one_order(_teardrop, c, bound)
-    if m is not None:
-        yield _teardrop(m)
-    # A football O(r, s) has c = r + s + h with h = 1/r + 1/s in (0, 1], so
-    # h is the fractional part of c, or 1 when c is an integer.
-    h = c - math.floor(c) or Fraction(1)
-    pair = _order_pair(int(c - h), h.numerator, h.denominator)
-    if pair is not None and 2 <= pair[0] and pair[1] <= bound:
-        yield 0, 0, pair, ()
-
-
-# Largest number of first orders the pillow search tries for one h.  The
+# Largest number of first orders the three-cone search tries for one h.  The
 # range (1/h, min(3/h, S/3)] grows with the denominator of c, so an uncapped
 # c would run for days; at this cap a search takes under a second.
 PILLOW_ORDER_LIMIT = 1_000_000
 
 
-def _pillow_orders(c: Fraction, bound: int | None = None, hyperbolic: bool = True):
-    """Every (p, q, r), p <= q <= r <= bound, with c(O(p, q, r)) = c, in lexicographic order.
+def _cone_orders(c: Fraction, k: int, bound: int | None = None, hyperbolic: bool = True):
+    """Every n_1 <= ... <= n_k <= bound with c(sphere with cones n_i) = c, in lexicographic order.
 
-    A pillow has c = S - 2 + h with S = p+q+r and h = 1/p+1/q+1/r in
-    (0, 3/2], so h is frac(c) (chi < 0) or frac(c) + 1 (chi >= 0) and S
-    follows.  For each first order p in (1/h, min(3/h, S/3, bound)], q and
-    r are the integer roots of x^2 - (S-p) x + (S-p)/(h-1/p), one triple at
-    most per p and h.  bound=None searches every order; hyperbolic=False
-    skips the chi < 0 side.  Raises ValueError, before searching, when more
+    k is 1, 2 or 3.  Such a sphere has c = 4 - 2k + S + h with S = sum n_i
+    and h = sum 1/n_i in (0, k/2], so h = frac(c) + j for an integer j >= 0
+    and S = floor(c) + 2k - 4 - j.  One order is S itself, when h = 1/S;
+    two are the integer roots of x^2 - S x + S/h; for three, each first
+    order p in (1/h, min(3/h, S/3, bound)] leaves two with sum S - p and
+    reciprocal sum h - 1/p.  All of it is int arithmetic on h = num/den.
+    bound=None searches every order; hyperbolic=False skips the sides with
+    chi = 2 - k + h < 0.  Raises ValueError, before searching, when more
     than PILLOW_ORDER_LIMIT first orders would need trying for one h.
     """
-    floor = math.floor(c)
-    frac = c - floor
+    floor, rem = divmod(c.numerator, c.denominator)
+    den = c.denominator
+    top = math.inf if bound is None else bound
     sides = []
-    # The chi >= 0 side comes first.  h > 1 leaves only p = 2, and beside it
-    # the chi < 0 side has h = frac(c) <= 1/2, so p > 1/h >= 2 there.
-    for h, total in ((frac + 1, floor + 1), (frac, floor + 2)):
-        if not 0 < h <= Fraction(3, 2) or (h < 1 and not hyperbolic):
+    # Larger h first: for k = 3 that is the chi >= 0 side, where h > 1 leaves
+    # only p = 2; beside it h = frac(c) <= 1/2 on the chi < 0 side.
+    for j in range(k // 2, -1, -1):
+        num = rem + j * den  # h = num / den, in lowest terms
+        if num <= 0 or 2 * num > k * den or (num < (k - 2) * den and not hyperbolic):
             continue
-        first = max(2, h.denominator // h.numerator + 1)
-        last = min(3 * h.denominator // h.numerator, total // 3)
-        if bound is not None:
-            last = min(last, bound)
-        if last - first + 1 > PILLOW_ORDER_LIMIT:
-            raise ValueError(
-                f"c = {c} needs {last - first + 1} first orders tried, "
-                f"more than the limit of {PILLOW_ORDER_LIMIT}"
-            )
-        sides.append((h.numerator, h.denominator, total, first, last))
-    for hn, hd, total, first, last in sides:
+        total = floor + 2 * k - 4 - j
+        if k == 1:
+            if num == 1 and den == total <= top:
+                yield (total,)
+        elif k == 2:
+            pair = _order_pair(total, num, den)
+            if pair is not None and 2 <= pair[0] and pair[1] <= top:
+                yield pair
+        else:
+            first = max(2, den // num + 1)
+            last = min(3 * den // num, total // 3, top)
+            if last - first + 1 > PILLOW_ORDER_LIMIT:
+                raise ValueError(
+                    f"c = {c} needs {last - first + 1} first orders tried, "
+                    f"more than the limit of {PILLOW_ORDER_LIMIT}"
+                )
+            sides.append((num, total, first, last))
+    for num, total, first, last in sides:
         for p in range(first, last + 1):
-            # q + r = total - p and 1/q + 1/r = h - 1/p = (hn p - hd) / (hd p)
-            pair = _order_pair(total - p, hn * p - hd, hd * p)
+            # q + r = total - p and 1/q + 1/r = h - 1/p = (num p - den) / (den p)
+            pair = _order_pair(total - p, num * p - den, den * p)
             # a q below p belongs to the triple found at first order q
-            if pair is not None and pair[0] >= p and (bound is None or pair[1] <= bound):
+            if pair is not None and pair[0] >= p and pair[1] <= top:
                 yield (p, *pair)
+
+
+# The cone counts of each class's cone-point spheres, in roster order.
+_CONE_COUNTS = {
+    ClassKind.TEARDROPS_AND_FOOTBALLS: (1, 2),
+    ClassKind.TRIANGULAR_PILLOWS: (3,),
+    ClassKind.CLASS_C_ORIENTABLE: (1, 2, 3),
+}
 
 
 def _preimage_candidates(cls: OrbifoldClass, c: Fraction):
     """The members of the class that can have c, in roster order, without the roster."""
     B = cls.bound
     kind = cls.kind
-    if kind is ClassKind.TEARDROPS_AND_FOOTBALLS:
-        yield from _teardrop_football_candidates(c, B)
-    elif kind is ClassKind.CLASS_C_ORIENTABLE:
-        yield 0, 0, (), ()
-        yield 1, 0, (), ()
-        yield from _teardrop_football_candidates(c, B)
-        for orders in _pillow_orders(c, B, hyperbolic=False):
-            yield 0, 0, orders, ()
-        yield 0, 0, (2, 2, 2, 2), ()
-    elif kind is ClassKind.TRIANGULAR_PILLOWS:
-        for orders in _pillow_orders(c, B):
-            yield 0, 0, orders, ()
-    elif kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
+    if kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
         found = []
         for i, family in enumerate(_SPHERICAL_FAMILIES):
             m = _one_order(family, c, B)
@@ -302,23 +293,29 @@ def _preimage_candidates(cls: OrbifoldClass, c: Fraction):
         for m, i in sorted(found):  # the roster's order: by m, then by family
             yield _SPHERICAL_FAMILIES[i](m)
         yield from _spherical_fixed(B)
-    else:
-        raise ValueError(f"unknown class kind {kind!r}")
+        return
+    nonnegative = kind is ClassKind.CLASS_C_ORIENTABLE
+    if nonnegative:
+        yield 0, 0, (), ()
+        yield 1, 0, (), ()
+    for k in _CONE_COUNTS[kind]:
+        for orders in _cone_orders(c, k, B, hyperbolic=not nonnegative):
+            yield 0, 0, orders, ()
+    if nonnegative:
+        yield 0, 0, (2, 2, 2, 2), ()
 
 
 def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
     """All class members whose spectral constant equals c_value exactly, in roster order.
 
     An exact search that never walks the roster.  Each family's c is a closed
-    form in its free orders: one-order families (teardrops, the spherical
-    families) have one candidate order, a football's two orders are the
-    roots of one integer quadratic, and the pillows try each first order p
-    in (1/h, min(3/h, S/3, bound)] and solve a quadratic for the other two
-    (see _pillow_orders).  So the cost is O(1) per family plus at most
-    min(2/h, bound) first orders for pillows, against one c evaluation per
-    member for a roster walk.  Every candidate is confirmed with c_ratio.
-    Raises ValueError when the pillow search would exceed
-    PILLOW_ORDER_LIMIT first orders.
+    form in its free orders: a spherical one-order family has one candidate
+    order, and _cone_orders solves the spheres with one, two or three cone
+    points for their orders, trying at most min(2/h, bound) first orders
+    for three.  So the cost is O(1) per family plus that search, against
+    one c evaluation per member for a roster walk.  Every candidate is
+    confirmed with c_ratio.  Raises ValueError when the three-cone search
+    would exceed PILLOW_ORDER_LIMIT first orders.
     """
     c = Fraction(c_value)
     key = (c.numerator, c.denominator)
@@ -455,18 +452,17 @@ class PillowSeparation(Record):
 def pillow_negative_vs_rest(c_value) -> PillowSeparation:
     """Can c_value be attained both by a chi<0 pillow and by the chi>0 side?
 
-    The chi>0 side is the teardrops plus the chi>0 triangular pillows.  The
-    pillows come from the exact, unbounded search of _pillow_orders, and
-    the lexicographically first pillow of each sign wins, as in the roster.
+    The chi>0 side is the teardrops plus the chi>0 triangular pillows.  Both
+    come from the exact, unbounded search of _cone_orders, and the
+    lexicographically first pillow of each sign wins, as in the roster.
     A pillow with p + q + r > c + 1 has h < 1, so chi < 0; one with
-    p + q + r < c + 1 has chi > 0.  A teardrop O(m) has c = m + 2 + 1/m,
-    so it has one candidate order.  Raises ValueError when more than
+    p + q + r < c + 1 has chi > 0.  Raises ValueError when more than
     PILLOW_ORDER_LIMIT first orders would need trying.
     """
     c = Fraction(c_value)
     negative = positive = None
-    for orders in _pillow_orders(c):
-        side = sum(orders) - c - 1
+    for orders in _cone_orders(c, 3):
+        side = (sum(orders) - 1) * c.denominator - c.numerator  # sign of S - (c + 1)
         if side > 0 and negative is None:
             negative = _sphere(*orders)
         elif side < 0 and positive is None:
@@ -474,9 +470,8 @@ def pillow_negative_vs_rest(c_value) -> PillowSeparation:
         if negative is not None and positive is not None:
             break
     if positive is None:
-        m = _one_order(_teardrop, c, None)
-        if m is not None and c_ratio(*_teardrop(m)) == (c.numerator, c.denominator):
-            positive = _sphere(m)
+        for orders in _cone_orders(c, 1):
+            positive = _sphere(*orders)
     return PillowSeparation(negative is None or positive is None, negative, positive)
 
 
@@ -543,6 +538,23 @@ def unit_sphere_mirror_length(sig: OrbifoldSignature) -> float:
     return float(_unit_length_over_pi(sig)) * math.pi
 
 
+def _verdict(a: OrbifoldSignature, b: OrbifoldSignature, lengths: bool) -> Verdict:
+    """The first heat-invariant test that separates a and b.
+
+    ByC when the exact spectral constants differ, else ByMirrorPresence
+    when exactly one has a mirror locus (the degree -1/2 term), else, with
+    lengths, ByMirrorLength when the unit-sphere mirror lengths differ,
+    else NotDistinguished.
+    """
+    if spectral_c(a) != spectral_c(b):
+        return Verdict.BY_C
+    if a.has_mirrors != b.has_mirrors:
+        return Verdict.BY_MIRROR_PRESENCE
+    if lengths and a.has_mirrors and _unit_length_over_pi(a) != _unit_length_over_pi(b):
+        return Verdict.BY_MIRROR_LENGTH
+    return Verdict.NOT_DISTINGUISHED
+
+
 def spherical_distinguish(a: OrbifoldSignature, b: OrbifoldSignature) -> Verdict:
     """How the spectrum separates two spherical constant-curvature orbifolds.
 
@@ -560,14 +572,7 @@ def spherical_distinguish(a: OrbifoldSignature, b: OrbifoldSignature) -> Verdict
                 f"signature {render(sig) or 'sphere'!r} is {kind.value}, not Spherical; "
                 "this comparison covers spherical orbifolds only"
             )
-    if spectral_c(a) != spectral_c(b):
-        return Verdict.BY_C
-    if a.has_mirrors != b.has_mirrors:
-        return Verdict.BY_MIRROR_PRESENCE
-    if a.has_mirrors and b.has_mirrors:
-        if _unit_length_over_pi(a) != _unit_length_over_pi(b):
-            return Verdict.BY_MIRROR_LENGTH
-    return Verdict.NOT_DISTINGUISHED
+    return _verdict(a, b, lengths=True)
 
 
 def positive_vs_zero_chi(a: OrbifoldSignature, b: OrbifoldSignature) -> Verdict:
@@ -584,8 +589,4 @@ def positive_vs_zero_chi(a: OrbifoldSignature, b: OrbifoldSignature) -> Verdict:
                 f"signature {render(sig) or 'sphere'!r} has chi < 0; "
                 "this comparison covers chi >= 0 only"
             )
-    if spectral_c(a) != spectral_c(b):
-        return Verdict.BY_C
-    if a.has_mirrors != b.has_mirrors:
-        return Verdict.BY_MIRROR_PRESENCE
-    return Verdict.NOT_DISTINGUISHED
+    return _verdict(a, b, lengths=False)

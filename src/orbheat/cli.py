@@ -32,6 +32,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
+def _text(value) -> str:
+    """str(value), also for an exact rational past Python's int-to-string digit limit."""
+    if not isinstance(value, Fraction):
+        return str(value)
+    from .signature import rational_to_json
+
+    q = rational_to_json(value)
+    return q["num"] if q["den"] == "1" else f"{q['num']}/{q['den']}"
+
+
 # Each subcommand imports the orbheat modules it calls inside its _cmd_*
 # function, so a run loads only those: `c` loads notation, signature and
 # heat, and only trace, fit and verify load flat.  For the same reason the
@@ -43,7 +53,7 @@ _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 
 # Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
 # c, so this caps the scan's memory (a few hundred MB) and run time (seconds).
-# The exact pillow search behind `classify --class pillow-negative` and
+# The exact three-cone search behind `classify --class pillow-negative` and
 # classify.c_preimage is capped the same way, by classify.PILLOW_ORDER_LIMIT,
 # and the flat-model multiplicity oracle by flat.MULTIPLICITY_SHELL_LIMIT;
 # these three limits are fixed, not options.
@@ -132,7 +142,7 @@ def _cmd_chi(args) -> int:
     from .signature import euler_characteristic, rational_to_json
 
     value = euler_characteristic(parse(args.notation))
-    _emit(args, rational_to_json(value), [str(value)])
+    _emit(args, rational_to_json(value), [_text(value)])
     return 0
 
 
@@ -142,7 +152,7 @@ def _cmd_c(args) -> int:
     from .signature import rational_to_json
 
     value = spectral_c(parse(args.notation))
-    _emit(args, rational_to_json(value), [str(value)])
+    _emit(args, rational_to_json(value), [_text(value)])
     return 0
 
 
@@ -170,7 +180,7 @@ def _cmd_expansion(args) -> int:
     except GaussBonnetViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = [f"deg {d}: {expansion[d]}" for d in DEGREES]
+    text = [f"deg {d}: {_text(expansion[d])}" for d in DEGREES]
     _emit(args, expansion.to_json(), text)
     return 0
 

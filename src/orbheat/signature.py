@@ -137,25 +137,20 @@ def is_bad(sig: OrbifoldSignature) -> bool:
 
     These are the sphere with one cone point, the sphere with two cone
     points of different orders, and their mirror quotients (a disk with one
-    corner, or two corners of different orders, and nothing else).
+    corner, or two corners of different orders, and nothing else).  So
+    with no handles or crosscaps, the orders are a sphere's cone orders or
+    the corner orders of a disk with no cones, and it is bad exactly when
+    there is one, or two unequal ones.
     """
     if sig.handles or sig.crosscaps:
         return False
-    cones = sig.cone_points
-    mirrors = sig.mirror_boundaries
-    if not mirrors:
-        if len(cones) == 1:
-            return True
-        if len(cones) == 2 and cones[0] != cones[1]:
-            return True
+    if not sig.mirror_boundaries:
+        orders = sig.cone_points
+    elif len(sig.mirror_boundaries) == 1 and not sig.cone_points:
+        orders = sig.mirror_boundaries[0]
+    else:
         return False
-    if len(mirrors) == 1 and not cones:
-        corners = mirrors[0]
-        if len(corners) == 1:
-            return True
-        if len(corners) == 2 and corners[0] != corners[1]:
-            return True
-    return False
+    return len(orders) == 1 or (len(orders) == 2 and orders[0] != orders[1])
 
 
 def geometry_type(sig: OrbifoldSignature) -> GeometryType:
@@ -182,7 +177,17 @@ def rational_to_json(value: Fraction) -> dict:
     integer range of other JSON consumers.
     """
     q = Fraction(value)
-    return {"num": str(q.numerator), "den": str(q.denominator)}
+    return {"num": _decimal(q.numerator), "den": _decimal(q.denominator)}
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of n, also past Python's int-to-string digit limit."""
+    try:
+        return str(n)
+    except ValueError:  # more digits than str() converts; decimal has no limit
+        from decimal import Decimal
+
+        return str(Decimal(n))
 
 
 def rational_from_json(obj: dict) -> Fraction:

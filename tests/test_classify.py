@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 import tracemalloc
@@ -125,6 +126,12 @@ class TestOrbifoldClass:
 
     def test_default_bound(self):
         assert OrbifoldClass(ClassKind.TRIANGULAR_PILLOWS).bound == 500
+
+    @pytest.mark.parametrize("kind", ["pillows", None, 1, ClassKind])
+    def test_kind_must_be_a_class_kind(self, kind):
+        # rejected at construction, not on first use
+        with pytest.raises(ValueError, match="ClassKind"):
+            OrbifoldClass(kind, 10)
 
     def test_frozen(self):
         cls = pillows(10)
@@ -264,8 +271,54 @@ class TestCPreimage:
 
     def test_first_order_range_is_capped(self):
         # h = 1e-7 leaves first orders 10^7+1 .. 2*10^7 to try
+        c = Fraction(600000000000001, 10000000)
         with pytest.raises(ValueError, match=str(PILLOW_ORDER_LIMIT)):
-            c_preimage(pillows(10**9), Fraction(600000000000001, 10000000))
+            c_preimage(pillows(10**9), c)
+        # class-c skips the chi < 0 pillows, so only its chi >= 0 side is searched
+        for cls in (class_c(10**9), teardrops(10**9), spherical(10**9)):
+            assert c_preimage(cls, c) == ()
+
+
+class TestConeOrders:
+    """The one solver for spheres with 1, 2 or 3 cone points against brute force."""
+
+    BOUND = 24
+
+    @pytest.fixture(scope="class")
+    def by_c(self):
+        found = {}
+        for k in (1, 2, 3):
+            for orders in itertools.combinations_with_replacement(range(2, self.BOUND + 1), k):
+                c = spectral_c(OrbifoldSignature(cone_points=orders))
+                found.setdefault((k, c), []).append(orders)
+        return found
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_attained_c(self, by_c, k):
+        for (kk, c), expected in by_c.items():
+            if kk == k:
+                assert list(orbheat.classify._cone_orders(c, k, self.BOUND)) == expected
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chi_nonnegative_side(self, by_c, k):
+        for (kk, c), expected in by_c.items():
+            if kk == k:
+                nonnegative = [
+                    o for o in expected if euler_characteristic(OrbifoldSignature(cone_points=o)) >= 0
+                ]
+                assert list(orbheat.classify._cone_orders(c, k, self.BOUND, hyperbolic=False)) == nonnegative
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_misses(self, by_c, k):
+        rng = random.Random(k)
+        for _ in range(2000):
+            c = Fraction(rng.randint(-40, 40 * 60), rng.randint(1, 60))
+            assert list(orbheat.classify._cone_orders(c, k, self.BOUND)) == by_c.get((k, c), [])
+
+    def test_unbounded_search_finds_orders_past_any_bound(self):
+        assert list(orbheat.classify._cone_orders(spectral_c(parse("10001")), 1)) == [(10001,)]
+        assert list(orbheat.classify._cone_orders(spectral_c(parse("3,10001")), 2)) == [(3, 10001)]
+        assert list(orbheat.classify._cone_orders(Fraction(67, 4), 3)) == [(2, 8, 8), (3, 3, 12)]
 
 
 class TestRosterOrder:

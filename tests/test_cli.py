@@ -17,9 +17,9 @@ import orbheat.cli
 import orbheat.tables
 from orbheat.cli import SCAN_MEMBER_LIMIT, run
 from orbheat.flat import FlatModel, heat_trace
-from orbheat.heat import MetricData, full_expansion
+from orbheat.heat import MetricData, full_expansion, spectral_c
 from orbheat.notation import parse
-from orbheat.signature import signature_to_json
+from orbheat.signature import euler_characteristic, signature_to_json
 
 
 def invoke(capsys, *argv):
@@ -53,6 +53,64 @@ class TestScalarCommands:
         code, out, _ = invoke(capsys, "chi", "2,3,7", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"num": "-1", "den": "42"}
+
+
+class TestOrdersAtTheDigitLimit:
+    """Orders as long as int() converts still print their exact rationals.
+
+    An order of sys.get_int_max_str_digits() digits parses, but c, chi and
+    the exact degree-1 coefficient then have more digits than str() of an
+    int allows; one digit more is a parse error.
+    """
+
+    @staticmethod
+    def unlimited(value):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value.numerator), str(value.denominator), str(value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @staticmethod
+    def notation():
+        digits = sys.get_int_max_str_digits()
+        return f"2,{'9' * digits},{'9' * (digits - 1)}8"
+
+    @pytest.mark.parametrize("command", ["c", "chi"])
+    def test_text_and_json(self, capsys, command):
+        compute = spectral_c if command == "c" else euler_characteristic
+        num, den, text = self.unlimited(compute(parse(self.notation())))
+        assert len(num) > sys.get_int_max_str_digits()
+        start = time.perf_counter()
+        assert invoke(capsys, command, self.notation()) == (0, text + "\n", "")
+        code, out, err = invoke(capsys, command, self.notation(), "--format", "json")
+        assert time.perf_counter() - start < 5
+        assert (code, json.loads(out), err) == (0, {"num": num, "den": den}, "")
+
+    def test_expansion_degree_one(self, capsys):
+        # K = 1 + 10^-d, d digits below the limit, and a 100-digit order keep
+        # every float finite while the exact degree-1 coefficient passes it
+        d = sys.get_int_max_str_digits() - 100
+        K = Fraction(10**d + 1, 10**d)
+        notation = "2,2," + "7" * 100
+        sig = parse(notation)
+        area = 2 * math.pi * float(euler_characteristic(sig)) / float(K)
+        expansion = full_expansion(sig, MetricData(K, area))
+        _, _, degree_one = self.unlimited(expansion[1])
+        assert len(degree_one) > sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature", f"{10**d + 1}/{10**d}")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"deg 1: {degree_one}"
+
+    @pytest.mark.parametrize("command", ["parse", "c", "chi"])
+    def test_one_digit_more_is_a_parse_error(self, capsys, command):
+        digits = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, command, "2," + "9" * (digits + 1))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: order has {digits + 1} digits, more than the limit of {digits} (at position 2)\n"
+        )
 
 
 class TestParseCommand:
