@@ -309,7 +309,7 @@ class TestConeOrders:
                 assert list(orbheat.classify._cone_orders(c, k, self.BOUND, hyperbolic=False)) == nonnegative
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_misses(self, by_c, k):
+    def test_random_values(self, by_c, k):
         rng = random.Random(k)
         for _ in range(2000):
             c = Fraction(rng.randint(-40, 40 * 60), rng.randint(1, 60))
