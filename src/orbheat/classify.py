@@ -90,22 +90,6 @@ def _sphere(*cones) -> OrbifoldSignature:
 # once and build an OrbifoldSignature only for the members they return.
 
 
-def _teardrops_footballs(bound: int):
-    yield 0, 0, (), (), range(2, bound + 1)
-    for r in range(2, bound + 1):
-        yield 0, 0, (r,), (), range(r, bound + 1)
-
-
-def _nonneg_pillows(bound: int):
-    """Triangular pillows with chi >= 0 and orders <= bound, no duplicates.
-
-    chi >= 0 forces 1/p + 1/q + 1/r >= 1, so p is 2 or 3 and the other
-    orders are tightly bounded except for the (2, 2, r) tail.
-    """
-    for p, q, rmax in ((2, 2, bound), (2, 3, 6), (2, 4, 4), (3, 3, 3)):
-        yield 0, 0, (p, q), (), range(q, min(rmax, bound) + 1)
-
-
 # The seven one-order spherical families, in their roster order for each m.
 _SPHERICAL_FAMILIES = (
     lambda m: (0, 0, (m, m), ()),
@@ -117,45 +101,91 @@ _SPHERICAL_FAMILIES = (
     lambda m: (0, 0, (2,), ((m,),)),
 )
 
-_SPHERICAL_FIXED = (
-    ((2, 3, 3), ()),
-    ((2, 3, 4), ()),
-    ((2, 3, 5), ()),
-    ((), ((2, 3, 3),)),
-    ((3,), ((2,),)),
-    ((), ((2, 3, 4),)),
-    ((), ((2, 3, 5),)),
-)
+
+def _family_line(family) -> tuple:
+    """(a, b) with c(family(m)) = a + b (m - 1)^2/m at every order m.
+
+    Every stratum adds (n - 1)^2/n or half of it to c, so a one-order
+    family's c is a + b (m - 1)^2/m with b > 0.  At m = 2 and 3,
+    (m - 1)^2/m is 1/2 and 4/3, so c_ratio there gives
+    b = 6/5 (c(3) - c(2)) and a = c(2) - b/2.
+    """
+    c2, c3 = (Fraction(*c_ratio(*family(m))) for m in (2, 3))
+    b = (c3 - c2) * Fraction(6, 5)
+    return c2 - b / 2, b
 
 
-def _spherical_fixed(bound: int):
-    for cones, boundaries in _SPHERICAL_FIXED:
-        if max((*cones, *(n for c in boundaries for n in c))) <= bound:
-            yield 0, 0, cones, boundaries
+_FAMILY_LINES = tuple(_family_line(family) for family in _SPHERICAL_FAMILIES)
+
+
+def _member(h: int, k: int, cones: tuple, boundaries: tuple) -> tuple:
+    """A fixed member as (its largest order, member), to compare with a class bound."""
+    return max(cones + sum(boundaries, ()), default=0), (h, k, cones, boundaries)
+
+
+# Each class once, read by both the roster and c-inversion: whether its
+# spheres with cone points may have chi < 0, and the parts of its roster in
+# order.  A part is a fixed member from _member, in the class when its
+# largest order is <= the bound; an int k, the spheres with k cone points;
+# or _SPHERICAL_FAMILIES, whose members come by m, then by family.
+_CLASSES = {
+    ClassKind.TEARDROPS_AND_FOOTBALLS: (True, (1, 2)),
+    ClassKind.TRIANGULAR_PILLOWS: (True, (3,)),
+    ClassKind.CLASS_C_ORIENTABLE: (
+        False,
+        (_member(0, 0, (), ()), _member(1, 0, (), ()), 1, 2, 3, _member(0, 0, (2, 2, 2, 2), ())),
+    ),
+    ClassKind.SPHERICAL_CONSTANT_CURVATURE: (
+        True,
+        (
+            _SPHERICAL_FAMILIES,
+            _member(0, 0, (2, 3, 3), ()),
+            _member(0, 0, (2, 3, 4), ()),
+            _member(0, 0, (2, 3, 5), ()),
+            _member(0, 0, (), ((2, 3, 3),)),
+            _member(0, 0, (3,), ((2,),)),
+            _member(0, 0, (), ((2, 3, 4),)),
+            _member(0, 0, (), ((2, 3, 5),)),
+        ),
+    ),
+}
+
+
+def _sphere_stems(k: int, bound: int, hyperbolic: bool):
+    """Stems of the spheres with k = 1, 2 or 3 cone points of orders <= bound, in order.
+
+    hyperbolic=False keeps those with chi = 2 - k + sum 1/n_i >= 0, which
+    every sphere with k <= 2 has.  For three orders p <= q <= r it reads
+    r (pq - p - q) <= pq, and r >= q then leaves p and q at most 4.
+    """
+    if k == 1:
+        yield 0, 0, (), (), range(2, bound + 1)
+    elif k == 2:
+        for p in range(2, bound + 1):
+            yield 0, 0, (p,), (), range(p, bound + 1)
+    else:
+        cap = bound if hyperbolic else min(bound, 4)
+        for p in range(2, cap + 1):
+            for q in range(p, cap + 1):
+                pq = p * q
+                top = bound if hyperbolic or pq == p + q else min(bound, pq // (pq - p - q))
+                if q <= top:
+                    yield 0, 0, (p, q), (), range(q, top + 1)
 
 
 def _stems(cls: OrbifoldClass):
     """The class roster as (handles, crosscaps, cones, boundaries, last) stems."""
     B = cls.bound
-    kind = cls.kind
-    if kind is ClassKind.TEARDROPS_AND_FOOTBALLS:
-        yield from _teardrops_footballs(B)
-    elif kind is ClassKind.TRIANGULAR_PILLOWS:
-        for p in range(2, B + 1):
-            for q in range(p, B + 1):
-                yield 0, 0, (p, q), (), range(q, B + 1)
-    elif kind is ClassKind.CLASS_C_ORIENTABLE:
-        yield 0, 0, (), (), None
-        yield 1, 0, (), (), None
-        yield from _teardrops_footballs(B)
-        yield from _nonneg_pillows(B)
-        yield 0, 0, (2, 2, 2, 2), (), None
-    else:
-        for m in range(2, B + 1):
-            for family in _SPHERICAL_FAMILIES:
-                yield (*family(m), None)
-        for member in _spherical_fixed(B):
-            yield (*member, None)
+    hyperbolic, parts = _CLASSES[cls.kind]
+    for part in parts:
+        if isinstance(part, int):
+            yield from _sphere_stems(part, B, hyperbolic)
+        elif part is _SPHERICAL_FAMILIES:
+            for m in range(2, B + 1):
+                for family in part:
+                    yield (*family(m), None)
+        elif part[0] <= B:
+            yield (*part[1], None)
 
 
 def _roster(cls: OrbifoldClass):
@@ -185,21 +215,6 @@ def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
         if limit is not None and count > limit:
             return limit + 1
     return count
-
-
-def _one_order(family, c: Fraction, bound: int):
-    """The only order m in [2, bound] at which family(m) can have c, or None.
-
-    Every stratum adds (n-1)^2/n or half of it to c, and
-    (m-1)^2/m = m - 2 + 1/m, so a one-order family has c = a + b (m - 2 + 1/m)
-    with b > 0.  As 1/m lies in (0, 1/2], m = floor((c - a) / b) + 2.  At
-    m = 2 and 3, m - 2 + 1/m is 1/2 and 4/3, so c_ratio there gives
-    b = 6/5 (c(3) - c(2)) and a = c(2) - b/2.
-    """
-    c2, c3 = (Fraction(*c_ratio(*family(m))) for m in (2, 3))
-    b = (c3 - c2) * Fraction(6, 5)
-    m = math.floor((c - c2 + b / 2) / b) + 2
-    return m if 2 <= m <= bound else None
 
 
 def _order_pair(total: int, num: int, den: int):
@@ -272,48 +287,41 @@ def _cone_orders(c: Fraction, k: int, bound: int | None = None, hyperbolic: bool
                 yield (p, *pair)
 
 
-# The cone counts of each class's cone-point spheres, in roster order.
-_CONE_COUNTS = {
-    ClassKind.TEARDROPS_AND_FOOTBALLS: (1, 2),
-    ClassKind.TRIANGULAR_PILLOWS: (3,),
-    ClassKind.CLASS_C_ORIENTABLE: (1, 2, 3),
-}
-
-
 def _preimage_candidates(cls: OrbifoldClass, c: Fraction):
-    """The members of the class that can have c, in roster order, without the roster."""
+    """The members of the class that can have c, in roster order, without the roster.
+
+    _cone_orders finds the orders of a sphere part.  A spherical family has
+    c = a + b (m - 1)^2/m and the teardrop with cone order m has
+    c = 4 + (m - 1)^2/m, so the family's order m is the teardrop order
+    _cone_orders finds for 4 + (c - a)/b.
+    """
     B = cls.bound
-    kind = cls.kind
-    if kind is ClassKind.SPHERICAL_CONSTANT_CURVATURE:
-        found = []
-        for i, family in enumerate(_SPHERICAL_FAMILIES):
-            m = _one_order(family, c, B)
-            if m is not None:
-                found.append((m, i))
-        for m, i in sorted(found):  # the roster's order: by m, then by family
-            yield _SPHERICAL_FAMILIES[i](m)
-        yield from _spherical_fixed(B)
-        return
-    nonnegative = kind is ClassKind.CLASS_C_ORIENTABLE
-    if nonnegative:
-        yield 0, 0, (), ()
-        yield 1, 0, (), ()
-    for k in _CONE_COUNTS[kind]:
-        for orders in _cone_orders(c, k, B, hyperbolic=not nonnegative):
-            yield 0, 0, orders, ()
-    if nonnegative:
-        yield 0, 0, (2, 2, 2, 2), ()
+    hyperbolic, parts = _CLASSES[cls.kind]
+    for part in parts:
+        if isinstance(part, int):
+            for orders in _cone_orders(c, part, B, hyperbolic):
+                yield 0, 0, orders, ()
+        elif part is _SPHERICAL_FAMILIES:
+            found = sorted(  # the roster's order: by m, then by family
+                (m, i)
+                for i, (a, b) in enumerate(_FAMILY_LINES)
+                for (m,) in _cone_orders(4 + (c - a) / b, 1, B)
+            )
+            for m, i in found:
+                yield part[i](m)
+        elif part[0] <= B:
+            yield part[1]
 
 
 def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
     """All class members whose spectral constant equals c_value exactly, in roster order.
 
     An exact search that never walks the roster.  Each family's c is a closed
-    form in its free orders: a spherical one-order family has one candidate
-    order, and _cone_orders solves the spheres with one, two or three cone
-    points for their orders, trying at most min(2/h, bound) first orders
-    for three.  So the cost is O(1) per family plus that search, against
-    one c evaluation per member for a roster walk.  Every candidate is
+    form in its free orders, and _cone_orders solves it: the spheres with
+    one, two or three cone points for their orders, trying at most
+    min(2/h, bound) first orders for three, and each spherical one-order
+    family as a teardrop.  So the cost is O(1) per family plus that search,
+    against one c evaluation per member for a roster walk.  Every candidate is
     confirmed with c_ratio.  Raises ValueError when the three-cone search
     would exceed PILLOW_ORDER_LIMIT first orders.
     """

@@ -32,16 +32,6 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 
 
-def _text(value) -> str:
-    """str(value), also for an exact rational past Python's int-to-string digit limit."""
-    if not isinstance(value, Fraction):
-        return str(value)
-    from .signature import rational_to_json
-
-    q = rational_to_json(value)
-    return q["num"] if q["den"] == "1" else f"{q['num']}/{q['den']}"
-
-
 # Each subcommand imports the orbheat modules it calls inside its _cmd_*
 # function, so a run loads only those: `c` loads notation, signature and
 # heat, and only trace, fit and verify load flat.  For the same reason the
@@ -139,7 +129,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_chi(args) -> int:
     from .notation import parse
-    from .signature import euler_characteristic, rational_to_json
+    from .signature import _text, euler_characteristic, rational_to_json
 
     value = euler_characteristic(parse(args.notation))
     _emit(args, rational_to_json(value), [_text(value)])
@@ -149,7 +139,7 @@ def _cmd_chi(args) -> int:
 def _cmd_c(args) -> int:
     from .heat import spectral_c
     from .notation import parse
-    from .signature import rational_to_json
+    from .signature import _text, rational_to_json
 
     value = spectral_c(parse(args.notation))
     _emit(args, rational_to_json(value), [_text(value)])
@@ -159,7 +149,7 @@ def _cmd_c(args) -> int:
 def _cmd_expansion(args) -> int:
     from .heat import DEGREES, GaussBonnetViolation, MetricData, full_expansion
     from .notation import parse
-    from .signature import euler_characteristic
+    from .signature import _text, euler_characteristic
 
     sig = parse(args.notation)
     chi = euler_characteristic(sig)
@@ -170,7 +160,10 @@ def _cmd_expansion(args) -> int:
         if args.area is not None:
             area = float(args.area)
         elif K != 0:
-            area = 2.0 * math.pi * float(chi) / float(K)
+            try:
+                area = 2.0 * math.pi * float(chi) / float(K)
+            except (OverflowError, ZeroDivisionError):  # float(K) is past the range, or 0
+                raise ValueError(f"curvature {_text(K)} is outside the float range") from None
             if area <= 0:
                 raise GaussBonnetViolation(chi, K, area, area)
         else:
@@ -180,8 +173,12 @@ def _cmd_expansion(args) -> int:
     except GaussBonnetViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = [f"deg {d}: {_text(expansion[d])}" for d in DEGREES]
-    _emit(args, expansion.to_json(), text)
+    # The JSON floats can overflow where the exact text does not, so only
+    # the requested format is built.
+    if args.format == "json":
+        _emit(args, expansion.to_json(), ())
+    else:
+        _emit(args, None, [f"deg {d}: {_text(expansion[d])}" for d in DEGREES])
     return 0
 
 

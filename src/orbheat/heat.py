@@ -37,6 +37,7 @@ from numbers import Rational
 from ._record import Record
 from .signature import (
     OrbifoldSignature,
+    _text,
     euler_characteristic,
     rational_from_json,
     rational_to_json,
@@ -60,7 +61,7 @@ class GaussBonnetViolation(ValueError):
     def __init__(self, chi: Fraction, curvature, expected_area: float, actual_area: float):
         super().__init__(
             f"area {actual_area!r} is inconsistent with Gauss-Bonnet: "
-            f"chi = {chi}, K = {curvature} force area {expected_area!r}"
+            f"chi = {_text(chi)}, K = {_text(curvature)} force area {expected_area!r}"
         )
         self.chi = chi
         self.curvature = curvature
@@ -69,7 +70,10 @@ class GaussBonnetViolation(ValueError):
 
 
 def _finite(x) -> bool:
-    return math.isfinite(float(x))
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:  # an exact value past the float range
+        return False
 
 
 class MetricData(Record):
@@ -210,7 +214,12 @@ class HeatExpansion(Record):
             if degree == 0:
                 out[key] = rational_to_json(self.degree_zero)
             else:
-                out[key] = self.as_float(degree)
+                try:
+                    out[key] = self.as_float(degree)
+                except OverflowError:
+                    raise ValueError(
+                        f"the degree {degree} coefficient is past the float range of JSON output"
+                    ) from None
         return out
 
     @classmethod

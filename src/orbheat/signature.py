@@ -190,6 +190,14 @@ def _decimal(n: int) -> str:
         return str(Decimal(n))
 
 
+def _text(value) -> str:
+    """str(value), also for an exact rational past Python's int-to-string digit limit."""
+    if not isinstance(value, Fraction):
+        return str(value)
+    q = rational_to_json(value)
+    return q["num"] if q["den"] == "1" else f"{q['num']}/{q['den']}"
+
+
 def rational_from_json(obj: dict) -> Fraction:
     """Decode what rational_to_json writes; anything else raises ValueError.
 

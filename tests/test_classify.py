@@ -36,7 +36,7 @@ from orbheat.classify import (
 )
 from orbheat.heat import HeatExpansion, MetricData, full_expansion, spectral_c
 from orbheat.notation import parse, render
-from orbheat.signature import OrbifoldSignature, euler_characteristic
+from orbheat.signature import GeometryType, OrbifoldSignature, euler_characteristic, geometry_type
 
 
 def teardrops(bound):
@@ -91,6 +91,34 @@ def reference_groups(cls):
     for sig in enumerate_class(cls):
         groups.setdefault(reference_c(sig), []).append(sig)
     return {c: tuple(sigs) for c, sigs in groups.items()}
+
+
+def nonnegative_chi_signatures(bound):
+    """Every signature with chi >= 0 and orders <= bound, by exhaustive search.
+
+    chi = 2 - 2h - k - b - sum (1 - 1/m) - sum (1 - 1/n)/2 over h handles,
+    k crosscaps, b boundaries, cones m and corners n.  chi >= 0 leaves at
+    most four cones, and either one boundary with at most four corners or
+    two bare boundaries.
+    """
+    orders = range(2, bound + 1)
+    deficit = {  # each multiset of at most four orders -> sum (1 - 1/n)
+        ms: sum((Fraction(n - 1, n) for n in ms), Fraction(0))
+        for size in range(5)
+        for ms in itertools.combinations_with_replacement(orders, size)
+    }
+    sigs = set()
+    for h, k, b in itertools.product(range(2), range(3), range(3)):
+        base = 2 - 2 * h - k - b
+        for cones, cone_deficit in deficit.items():
+            rest = base - cone_deficit
+            if rest < 0:
+                continue
+            for corners in deficit if b == 1 else [()]:
+                if rest - deficit[corners] / 2 >= 0:
+                    boundaries = (corners,) if b == 1 else ((),) * b
+                    sigs.add(OrbifoldSignature(h, k, cones, boundaries))
+    return sigs
 
 
 def constant_curvature_expansion(notation, curvature, mirror_length=0.0):
@@ -213,6 +241,18 @@ class TestRosters:
         assert "*2" not in roster
         assert "*2,3" not in roster
 
+    @pytest.mark.parametrize("bound", range(2, 13))
+    def test_class_c_and_spherical_match_their_definitions(self, bound):
+        sigs = nonnegative_chi_signatures(bound)
+        assert set(enumerate_class(class_c(bound))) == {
+            s for s in sigs if s.crosscaps == 0 and not s.mirror_boundaries
+        }
+        assert set(enumerate_class(spherical(bound))) == {
+            s
+            for s in sigs
+            if geometry_type(s) is GeometryType.SPHERICAL and (s.cone_points or s.corner_orders)
+        }
+
     def test_rosters_have_no_duplicates(self):
         for cls in (teardrops(30), pillows(12), class_c(30), spherical(30)):
             members = enumerate_class(cls)
@@ -263,6 +303,18 @@ class TestCPreimage:
         assert [render(s) for s in c_preimage(class_c(120), Fraction(97, 12))] == ["2,3,4"]
         hits = c_preimage(spherical(20), Fraction(271, 30))
         assert [render(s) for s in hits] == ["*2,2,15", "2,*15", "2,3,5"]
+
+    @pytest.mark.parametrize(
+        "notation, expected",
+        [
+            ("*100000007,100000007", ["*100000007,100000007", "100000007×", "100000007,*"]),
+            ("2,*999999937", ["*2,2,999999937", "2,*999999937"]),
+            ("2,2,999999999", ["2,2,999999999"]),
+        ],
+    )
+    def test_spherical_hits_at_bound_ten_to_the_ninth(self, notation, expected):
+        hits = c_preimage(spherical(10**9), spectral_c(parse(notation)))
+        assert [render(s) for s in hits] == expected
 
     def test_unbounded_pillow_collision(self):
         # the known collision 2,8,8 ~ 3,3,12; a roster walk never returns here

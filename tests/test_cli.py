@@ -103,6 +103,27 @@ class TestOrdersAtTheDigitLimit:
         assert (code, err) == (0, "")
         assert out.splitlines()[-1] == f"deg 1: {degree_one}"
 
+    def test_expansion_degree_one_past_the_float_range(self, capsys):
+        # a 250-digit order puts the exact degree-1 coefficient past a float
+        notation = "2,2," + "7" * 250
+        sig = parse(notation)
+        area = 2 * math.pi * float(euler_characteristic(sig))
+        degree_one = full_expansion(sig, MetricData(1, area))[1]
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"deg 1: {degree_one}"
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature", "1", "--format", "json")
+        assert (code, out) == (1, "")
+        assert err == "error: the degree 1 coefficient is past the float range of JSON output\n"
+
+    def test_gauss_bonnet_violation_prints_chi(self, capsys):
+        # chi < 0 with K = 1 forces a negative area; chi has ~6000 digits
+        notation = f"2,{'9' * 3000},7{'9' * 3000}"
+        num, den, _ = self.unlimited(euler_characteristic(parse(notation)))
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature", "1")
+        assert (code, out) == (2, "")
+        assert f"chi = {num}/{den}, K = 1 " in err
+
     @pytest.mark.parametrize("command", ["parse", "c", "chi"])
     def test_one_digit_more_is_a_parse_error(self, capsys, command):
         digits = sys.get_int_max_str_digits()
@@ -167,6 +188,15 @@ class TestExpansionCommand:
         code, _, err = invoke(capsys, "expansion", "2,3,7", "--curvature", "1")
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "curvature, extra",
+        [("1e400", ()), ("1e-400", ()), ("1e400", ("--area", "1")), ("-1e400", ("--area", "1"))],
+    )
+    def test_curvature_past_the_float_range_exits_one(self, capsys, curvature, extra):
+        code, out, err = invoke(capsys, "expansion", "2,3,5", f"--curvature={curvature}", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_flat_without_area_exits_one(self, capsys):
         code, _, err = invoke(capsys, "expansion", "o", "--curvature", "0")

@@ -517,6 +517,21 @@ def test_metric_data_validation():
         MetricData(0, 1.0, mirror_length=-0.5)
 
 
+@pytest.mark.parametrize(
+    "curvature, area, mirror_length",
+    [
+        (Fraction(10**400), 1.0, 0.0),
+        (-(10**400), 1.0, 0.0),
+        (1, Fraction(10**400, 3), 0.0),
+        (0, 1.0, 10**400),
+    ],
+    ids=["curvature", "negative-int-curvature", "area", "mirror-length"],
+)
+def test_metric_data_rejects_exact_values_past_the_float_range(curvature, area, mirror_length):
+    with pytest.raises(ValueError, match="must be finite"):
+        MetricData(curvature, area, mirror_length)
+
+
 # === Half-integer predicate ===
 
 def test_has_half_integer_terms():
@@ -585,6 +600,17 @@ def test_expansion_json_round_trip():
     assert back.degree_zero == expansion.degree_zero
     for degree in DEGREES:
         assert back.as_float(degree) == pytest.approx(expansion.as_float(degree), abs=1e-15)
+
+
+def test_expansion_json_names_a_degree_past_the_float_range():
+    coeffs = {d: 0.0 for d in DEGREES}
+    coeffs[Fraction(-1)] = 1.0
+    coeffs[Fraction(0)] = Fraction(1)
+    coeffs[Fraction(1)] = Fraction(10**400, 7)
+    expansion = HeatExpansion(coeffs)
+    assert expansion[1] == Fraction(10**400, 7)
+    with pytest.raises(ValueError, match="degree 1 coefficient"):
+        expansion.to_json()
 
 
 def test_notation_front_end_agrees():
