@@ -608,7 +608,6 @@ def test_expansion_json_names_a_degree_past_the_float_range():
     coeffs[Fraction(0)] = Fraction(1)
     coeffs[Fraction(1)] = Fraction(10**400, 7)
     expansion = HeatExpansion(coeffs)
-    assert expansion[1] == Fraction(10**400, 7)
     with pytest.raises(ValueError, match="degree 1 coefficient"):
         expansion.to_json()
 
