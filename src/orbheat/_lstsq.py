@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul
 
 _EPS = sys.float_info.epsilon
@@ -44,27 +44,29 @@ def jacobi(columns) -> tuple:
     w = [[a * scale for a in column] for column in columns]
     v = [[float(i == j) for i in range(len(w))] for j in range(len(w))]
     norms = [math.hypot(*column) for column in w]
+    pairs = list(combinations(range(len(w)), 2))
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
-        for p in range(len(w) - 1):
-            for q in range(p + 1, len(w)):
-                gamma = sum(map(mul, w[p], w[q]))
-                if abs(gamma) <= _EPS * norms[p] * norms[q]:
-                    continue
-                rotated = True
-                # The rotation by the smaller root t of t^2 + 2 zeta t = 1
-                # makes the pair orthogonal.
-                zeta = (norms[q] - norms[p]) / (2.0 * gamma) * (norms[q] + norms[p])
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                for matrix in (w, v):
-                    matrix[p], matrix[q] = (
-                        [c * x - s * y for x, y in zip(matrix[p], matrix[q])],
-                        [s * x + c * y for x, y in zip(matrix[p], matrix[q])],
-                    )
-                norms[p] = math.hypot(*w[p])
-                norms[q] = math.hypot(*w[q])
+        for p, q in pairs:
+            wp, wq = w[p], w[q]
+            gamma = sum(map(mul, wp, wq))
+            norm_p, norm_q = norms[p], norms[q]
+            if abs(gamma) <= _EPS * norm_p * norm_q:
+                continue
+            rotated = True
+            # The rotation by the smaller root t of t^2 + 2 zeta t = 1
+            # makes the pair orthogonal.
+            zeta = (norm_q - norm_p) / (2.0 * gamma) * (norm_q + norm_p)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = c * t
+            w[p] = [c * x - s * y for x, y in zip(wp, wq)]
+            w[q] = [s * x + c * y for x, y in zip(wp, wq)]
+            vp, vq = v[p], v[q]
+            v[p] = [c * x - s * y for x, y in zip(vp, vq)]
+            v[q] = [s * x + c * y for x, y in zip(vp, vq)]
+            norms[p] = math.hypot(*w[p])
+            norms[q] = math.hypot(*w[q])
         if not rotated:
             break
     return w, v, scale, norms
@@ -105,10 +107,10 @@ def exact_residual(values, columns, x) -> list:
         ch = u - (u - c)
         cl = c - ch
         p = [a * c for a in column]
-        his = [u - (u - a) for a, u in zip(column, map(_SPLIT.__mul__, column))]
+        # h is the high half of a, bound once per entry.
         parts += (p, [
             ((h * ch - q) + h * cl + (a - h) * ch) + (a - h) * cl
-            for a, h, q in zip(column, his, p)
+            for a, q in zip(column, p) for h in [_SPLIT * a - (_SPLIT * a - a)]
         ])
     return list(map(math.fsum, zip(*parts)))
 

@@ -164,8 +164,10 @@ def _cmd_expansion(args) -> int:
                 area = 2.0 * math.pi * float(chi) / float(K)
             except (OverflowError, ZeroDivisionError):  # float(K) is past the range, or 0
                 raise ValueError(f"curvature {_text(K)} is outside the float range") from None
-            if area <= 0:
+            if chi * K <= 0:  # decided exactly: no area V > 0 gives K V = 2 pi chi
                 raise GaussBonnetViolation(chi, K, area, area)
+            if not 0.0 < area < math.inf:  # the float quotient underflowed or overflowed
+                raise ValueError("the area 2 pi chi / K is outside the float range")
         else:
             raise ValueError("--area is required when the curvature is 0")
         metric = MetricData(curvature=K, area=area, mirror_length=args.mirror_length)

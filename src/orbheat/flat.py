@@ -42,6 +42,7 @@ import sys
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 
 from ._record import Record
 from .heat import HeatExpansion, MetricData, full_expansion
@@ -285,7 +286,7 @@ def sample_trace(model: FlatModel, times=None) -> TraceSamples:
     """Sample the closed-form heat trace on a grid (default_grid() if None)."""
     if times is None:
         times = default_grid()
-    points = tuple((float(t), heat_trace(model, float(t))) for t in times)
+    points = tuple((t, heat_trace(model, t)) for t in map(float, times))
     return TraceSamples(points)
 
 
@@ -317,8 +318,11 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
     before solving, IllConditioned when the condition exceeds
     condition_limit or the design matrix is singular.
     """
-    degs = tuple(map(Fraction, degrees))
-    if len(set(degs)) != len(degs):
+    degs = tuple(d if type(d) is Fraction else Fraction(d) for d in degrees)
+    exponents = tuple(map(float, degs))
+    # Distinct floats mean distinct degrees, so the degrees are hashed here
+    # only where two floats collide; the coefficient dict hashes them once.
+    if len(set(exponents)) != len(degs) and len(set(degs)) != len(degs):
         raise ValueError(f"fit degrees must be distinct, got {degrees!r}")
     if not degs:
         raise ValueError("need at least one fit degree")
@@ -330,7 +334,7 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
     from ._lstsq import condition_number, jacobi, solve
 
     times, values = zip(*samples.points)
-    columns = [[t**e for t in times] for e in map(float, degs)]
+    columns = [[t**e for t in times] for e in exponents]
     w, v, scale, norms = jacobi(columns)
     condition = condition_number(norms)
     if not math.isfinite(condition) or condition > condition_limit:
@@ -362,6 +366,17 @@ def degree_label(d: Fraction) -> str:
     return f"{float(d):g}"
 
 
+@cache
+def _targets(model: FlatModel) -> tuple:
+    """(degree_label(d), predicted float) for each d in FIT_DEGREES.
+
+    A constant of the model, so it is computed once per process; a tuple,
+    unlike the HeatExpansion it is read from, cannot be changed by a caller.
+    """
+    predicted = predicted_expansion(model)
+    return tuple((degree_label(d), predicted.as_float(d)) for d in FIT_DEGREES)
+
+
 def verify_model(model: FlatModel, times=None) -> dict:
     """Fit the sampled trace at FIT_DEGREES and compare against predicted coefficients.
 
@@ -371,14 +386,12 @@ def verify_model(model: FlatModel, times=None) -> dict:
     """
     samples = sample_trace(model, times)
     fit = fit_expansion(samples, FIT_DEGREES)
-    predicted = predicted_expansion(model)
     report = {}
-    for d in fit.coefficients:
-        fitted = fit.coefficients[d]
-        target = predicted.as_float(d)
+    # The fit's coefficients come in FIT_DEGREES order, as the targets do.
+    for (label, target), fitted in zip(_targets(model), fit.coefficients.values()):
         abs_err = abs(fitted - target)
         rel_err = abs_err / abs(target) if target != 0 else abs_err
-        report[degree_label(d)] = {
+        report[label] = {
             "fitted": fitted,
             "predicted": target,
             "abs_err": abs_err,

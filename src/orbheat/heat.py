@@ -234,13 +234,35 @@ class HeatExpansion(Record):
         return cls(coefficients)
 
 
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _forced_area(chi: Fraction, K: Rational) -> float:
+    """The area 2 pi chi / K that Gauss-Bonnet forces.
+
+    nan for K = 0, where no area does, and +-inf where it is past the
+    float range.
+    """
+    if not K:
+        return math.nan
+    try:
+        return 2.0 * math.pi * float(chi) / float(K)
+    except ZeroDivisionError:  # float(K) underflowed; the exact quotient does not
+        try:
+            return 2.0 * math.pi * float(chi / K)
+        except OverflowError:
+            return math.copysign(math.inf, _sign(chi * K))
+
+
 def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
     """All five leading coefficients for a constant-curvature structure.
 
     Raises ValueError when the metric's mirror data contradicts the
     signature (mirror length must be positive exactly when mirror
-    boundaries exist), and GaussBonnetViolation when K != 0 and the area
-    differs from 2 pi chi / K by more than 1e-12 relative.
+    boundaries exist), and GaussBonnetViolation when K and chi differ in
+    sign, decided exactly for an exact K, or K V differs from 2 pi chi by
+    more than 1e-12 relative.
 
     Degree 1 uses the Gauss-Bonnet-exact form K*(chi/30 + singular sums)
     when K != 0, which keeps it an exact Fraction for exact K; it agrees
@@ -254,14 +276,20 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
         raise ValueError("mirror_length given for a signature without mirrors")
 
     K = metric.curvature
+    # An exact K keeps its sign where its float underflows; any other K
+    # counts at its float value.
+    K_exact = K if isinstance(K, Rational) else Fraction(float(K))
     lhs = float(K) * float(metric.area)
     rhs = 2.0 * math.pi * float(chi)
     scale = max(abs(lhs), abs(rhs))
-    if scale > 0 and abs(lhs - rhs) > _REL_TOL_GAUSS_BONNET * scale:
-        expected = rhs / float(K) if float(K) != 0.0 else float("nan")
-        raise GaussBonnetViolation(chi, K, expected, float(metric.area))
-    if float(K) != 0.0:
-        K_exact = K if isinstance(K, Rational) else Fraction(float(K))
+    # As V > 0, Gauss-Bonnet needs K and chi of one sign; deciding that
+    # exactly catches the violations that the floats of K and chi lose to
+    # underflow.
+    if _sign(K_exact) != _sign(chi) or (
+        scale > 0 and abs(lhs - rhs) > _REL_TOL_GAUSS_BONNET * scale
+    ):
+        raise GaussBonnetViolation(chi, K, _forced_area(chi, K_exact), float(metric.area))
+    if K_exact:
         degree_one = K_exact * (chi / 30 + _singular_degree_one_sum(sig))
     else:
         degree_one = Fraction(0)

@@ -139,3 +139,51 @@ def test_extract_runs_git_at_the_repository_root(monkeypatch, tmp_path):
     assert bench_pairs.extract("HEAD", tmp_path / "tree") == "abc123"
     root = _PATH.parents[1]
     assert calls[:2] == [(["git", "rev-parse"], root), (["git", "archive"], root)]
+
+
+RUN_STDOUT = """environment: {"python": "3.11.7", "src_sha256": "abc"}
+workload spectra: 3 ops, 0 failed
+op_p50_ms: 0.3 ms (n=3)
+  oracle: p50 0.512 ms (n=1)
+  trace: p50 0.021 ms (n=1)
+  verify: p50 0.300 ms (n=1)
+note: trace: p50 is not a kind line without its indent
+result file: bench/out/result.json
+{"metrics": {"op_p50_ms": {"unit": "ms", "value": 0.3}}, "failed": 0}
+"""
+
+
+def test_run_once_keeps_the_per_kind_lines(monkeypatch, tmp_path):
+    def run(argv, cwd=None, **kwargs):
+        return types.SimpleNamespace(returncode=0, stdout=RUN_STDOUT, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    result, env, kinds = bench_pairs.run_once(tmp_path, "spectra", 1, 20)
+    assert result == {"metrics": {"op_p50_ms": {"unit": "ms", "value": 0.3}}, "failed": 0}
+    assert env == {"python": "3.11.7", "src_sha256": "abc"}
+    assert kinds == {
+        "oracle": {"p50_ms": 0.512, "n": 1},
+        "trace": {"p50_ms": 0.021, "n": 1},
+        "verify": {"p50_ms": 0.3, "n": 1},
+    }
+
+
+def test_report_holds_each_run_per_kind_medians(monkeypatch, tmp_path):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, seed))
+        value = 1.0 if checkout.name == "parent" else 0.5
+        result = {"metrics": {"op_p50_ms": {"unit": "ms", "value": value}}, "failed": 0}
+        return result, {}, {"verify": {"p50_ms": value + seed, "n": 2}}
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: rev)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    args = types.SimpleNamespace(parent="p", change="c", pairs=2, seed0=10)
+    declared = {"op_p50_ms": {"better": "lower", "bound": 0.25}}
+    report = bench_pairs.run_pairs(args, tmp_path, ["spectra"], 20, declared)
+    assert calls == [("parent", 10), ("change", 10), ("change", 11), ("parent", 11)]
+    assert report["workloads"]["spectra"]["op_kinds"] == {
+        "parent": [{"verify": {"p50_ms": 11.0, "n": 2}}, {"verify": {"p50_ms": 12.0, "n": 2}}],
+        "change": [{"verify": {"p50_ms": 10.5, "n": 2}}, {"verify": {"p50_ms": 11.5, "n": 2}}],
+    }

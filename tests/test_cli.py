@@ -198,6 +198,20 @@ class TestExpansionCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("notation", ["2,3,6", "2,3,5"])
+    def test_exact_curvature_below_the_float_range_exits_two(self, capsys, notation):
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature=1e-400", "--area", "1")
+        assert (code, out) == (2, "")
+        assert "Gauss-Bonnet" in err and "nan" not in err
+        assert err.count("\n") == 1
+
+    def test_default_area_below_the_float_range_exits_one(self, capsys):
+        # chi = 1/77...7 (400 sevens) > 0 and K = 1 agree in sign, but
+        # 2 pi chi / K underflows to 0.0.
+        code, out, err = invoke(capsys, "expansion", "2,2," + "7" * 400, "--curvature", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: the area 2 pi chi / K is outside the float range\n"
+
     def test_flat_without_area_exits_one(self, capsys):
         code, _, err = invoke(capsys, "expansion", "o", "--curvature", "0")
         assert code == 1

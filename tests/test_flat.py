@@ -620,3 +620,139 @@ def test_verify_all_models_clean_in_asymptotic_regime(model):
     for record in report.values():
         err = record["rel_err"] if record["predicted"] != 0 else record["abs_err"]
         assert err < 1e-9
+
+
+# === Pinned fits and reports ===
+
+# fit_expansion(sample_trace(model, default_grid(start)), FIT_DEGREES) as the
+# fit computed it before its per-call cost was cut: the coefficients at
+# degrees -1, -1/2 and 0, the residual and the condition.  The cut changed
+# no floating-point operation, so every value must stay equal, not close.
+PINNED_FITS = {
+    ("torus", 1e-2): ((0.07957747154609335, -1.3509201575163519e-11, 2.67502734790764e-10), 3.6118655674895034e-10, 7962.767493649914),
+    ("torus", 1e-3): ((0.07957747154594774, -1.2846468448026691e-14, 4.845379037225917e-13), 9.154681359881999e-13, 79493.31529365819),
+    ("klein", 1e-2): ((0.03979064178355249, -0.0001771525561202301, 0.0035227072943841376), 0.004302949017076912, 7962.767493649914),
+    ("klein", 1e-3): ((0.03978873577297387, -6.423234224013346e-15, 2.4226895186129586e-13), 4.577340679940999e-13, 79493.31529365819),
+    ("pillowcase", 1e-2): ((0.039788735773046674, -6.754600787581759e-12, 0.5000000001337513), 1.8059323713703022e-10, 7962.767493649914),
+    ("pillowcase", 1e-3): ((0.03978873577297387, -6.423234224013346e-15, 0.5000000000002423), 4.577683121094685e-13, 79493.31529365819),
+    ("square", 1e-2): ((0.01989436788653625, 0.14104739588236428, 0.250000000090586), 1.2230366474569353e-10, 7962.767493649914),
+    ("square", 1e-3): ((0.019894367886486932, 0.14104739588693693, 0.25000000000007955), 1.0938007164950089e-13, 79493.31529365819),
+    ("mirror-torus", 1e-2): ((0.03978873577305959, 0.141047395878987, 1.5746171688759757e-10), 2.1260095312050713e-10, 7962.767493649914),
+    ("mirror-torus", 1e-3): ((0.03978873577297387, 0.1410473958869337, 1.9937727403624555e-13), 3.1505611267040107e-13, 79493.31529365819),
+}
+
+# verify_model(model, times=default_grid(start)) from the same code: per
+# degree label, (fitted, predicted, abs_err, rel_err).
+PINNED_REPORTS = {
+    ("torus", 1e-2): {
+        "-1": (0.07957747154609335, 0.07957747154594767, 1.4567513861862835e-13, 1.8306077811798303e-12),
+        "-0.5": (-1.3509201575163519e-11, 0.0, 1.3509201575163519e-11, 1.3509201575163519e-11),
+        "0": (2.67502734790764e-10, 0.0, 2.67502734790764e-10, 2.67502734790764e-10),
+    },
+    ("torus", 1e-3): {
+        "-1": (0.07957747154594774, 0.07957747154594767, 6.938893903907228e-17, 8.719671245021579e-16),
+        "-0.5": (-1.2846468448026691e-14, 0.0, 1.2846468448026691e-14, 1.2846468448026691e-14),
+        "0": (4.845379037225917e-13, 0.0, 4.845379037225917e-13, 4.845379037225917e-13),
+    },
+    ("klein", 1e-2): {
+        "-1": (0.03979064178355249, 0.039788735772973836, 1.9060105786519732e-06, 4.790327065245975e-05),
+        "-0.5": (-0.0001771525561202301, 0.0, 0.0001771525561202301, 0.0001771525561202301),
+        "0": (0.0035227072943841376, 0.0, 0.0035227072943841376, 0.0035227072943841376),
+    },
+    ("klein", 1e-3): {
+        "-1": (0.03978873577297387, 0.039788735772973836, 3.469446951953614e-17, 8.719671245021579e-16),
+        "-0.5": (-6.423234224013346e-15, 0.0, 6.423234224013346e-15, 6.423234224013346e-15),
+        "0": (2.4226895186129586e-13, 0.0, 2.4226895186129586e-13, 2.4226895186129586e-13),
+    },
+    ("pillowcase", 1e-2): {
+        "-1": (0.039788735773046674, 0.039788735772973836, 7.283756930931418e-14, 1.8306077811798303e-12),
+        "-0.5": (-6.754600787581759e-12, 0.0, 6.754600787581759e-12, 6.754600787581759e-12),
+        "0": (0.5000000001337513, 0.5, 1.3375134333415417e-10, 2.6750268666830834e-10),
+    },
+    ("pillowcase", 1e-3): {
+        "-1": (0.03978873577297387, 0.039788735772973836, 3.469446951953614e-17, 8.719671245021579e-16),
+        "-0.5": (-6.423234224013346e-15, 0.0, 6.423234224013346e-15, 6.423234224013346e-15),
+        "0": (0.5000000000002423, 0.5, 2.4225066397320916e-13, 4.845013279464183e-13),
+    },
+    ("square", 1e-2): {
+        "-1": (0.01989436788653625, 0.019894367886486918, 4.933206620982844e-14, 2.4797001086592365e-12),
+        "-0.5": (0.14104739588236428, 0.14104739588693907, 4.57478499527042e-12, 3.243438112772732e-11),
+        "0": (0.250000000090586, 0.25, 9.058598315903055e-11, 3.623439326361222e-10),
+    },
+    ("square", 1e-3): {
+        "-1": (0.019894367886486932, 0.019894367886486918, 1.3877787807814457e-17, 6.975736996017264e-16),
+        "-0.5": (0.14104739588693693, 0.14104739588693907, 2.1371793224034263e-15, 1.5152206880278377e-14),
+        "0": (0.25000000000007955, 0.25, 7.954747971439247e-14, 3.1818991885756986e-13),
+    },
+    ("mirror-torus", 1e-2): {
+        "-1": (0.03978873577305959, 0.039788735772973836, 8.575085086448553e-14, 2.1551539449195334e-12),
+        "-0.5": (0.141047395878987, 0.14104739588693907, 7.952083436180146e-12, 5.637880363671787e-11),
+        "0": (1.5746171688759757e-10, 0.0, 1.5746171688759757e-10, 1.5746171688759757e-10),
+    },
+    ("mirror-torus", 1e-3): {
+        "-1": (0.03978873577297387, 0.039788735772973836, 3.469446951953614e-17, 8.719671245021579e-16),
+        "-0.5": (0.1410473958869337, 0.14104739588693907, 5.35682609381638e-15, 3.797890815446398e-14),
+        "0": (1.9937727403624555e-13, 0.0, 1.9937727403624555e-13, 1.9937727403624555e-13),
+    },
+}
+REPORT_FIELDS = ("fitted", "predicted", "abs_err", "rel_err")
+
+
+@pytest.mark.parametrize("model, start", PINNED_FITS)
+def test_fit_equals_pinned_values(model, start):
+    fit = fit_expansion(sample_trace(FlatModel(model), default_grid(start)), FIT_DEGREES)
+    coefficients, residual, condition = PINNED_FITS[model, start]
+    assert list(fit.coefficients.items()) == list(zip(FIT_DEGREES, coefficients))
+    assert (fit.residual, fit.condition) == (residual, condition)
+
+
+@pytest.mark.parametrize("model, start", PINNED_REPORTS)
+def test_verify_equals_pinned_reports(model, start):
+    report = verify_model(FlatModel(model), times=default_grid(start))
+    expected = {
+        label: dict(zip(REPORT_FIELDS, values))
+        for label, values in PINNED_REPORTS[model, start].items()
+    }
+    assert report == expected
+    assert list(report) == list(expected)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_verify_report_is_built_from_prediction_and_fit(model):
+    times = default_grid(1e-2 * 10**0.05)
+    fit = fit_expansion(sample_trace(model, times), FIT_DEGREES)
+    predicted = predicted_expansion(model)
+    expected = {}
+    for d, fitted in fit.coefficients.items():
+        target = predicted.as_float(d)
+        abs_err = abs(fitted - target)
+        rel_err = abs_err / abs(target) if target != 0 else abs_err
+        expected[f"{float(d):g}"] = dict(zip(REPORT_FIELDS, (fitted, target, abs_err, rel_err)))
+    assert verify_model(model, times=times) == expected
+
+
+def test_mutating_a_result_leaves_the_next_call_unchanged():
+    times = default_grid(1e-3)
+    model = FlatModel.SQUARE
+    report = verify_model(model, times=times)
+    expected = {label: dict(record) for label, record in report.items()}
+    for record in report.values():
+        record["predicted"] = 123.0
+    report.clear()
+    fit = fit_expansion(sample_trace(model, times), FIT_DEGREES)
+    fit.coefficients[Fraction(0)] = 123.0
+    fit.coefficients.clear()
+    predicted_expansion(model).coefficients[Fraction(-1)] = 123.0
+    assert verify_model(model, times=times) == expected
+    again = fit_expansion(sample_trace(model, times), FIT_DEGREES)
+    assert list(again.coefficients.values()) == list(PINNED_FITS["square", 1e-3][0])
+
+
+def test_fit_degrees_equal_after_conversion_are_not_distinct():
+    samples = sample_trace(FlatModel.TORUS)
+    with pytest.raises(ValueError, match="fit degrees must be distinct"):
+        fit_expansion(samples, (0.5, Fraction(1, 2)))
+    # Distinct degrees whose floats are equal pass the check; their equal
+    # columns make the design singular.
+    with pytest.raises(IllConditioned):
+        fit_expansion(samples, (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)))

@@ -491,6 +491,30 @@ def test_gauss_bonnet_violation_payload():
     assert err.expected_area == pytest.approx(4 * math.pi)
 
 
+@pytest.mark.parametrize(
+    "cones, K, expected_area",
+    [
+        ((2, 3, 6), Fraction(1, 10**400), 0.0),  # chi = 0, so K V = 0 needs K = 0
+        ((2, 3, 5), Fraction(1, 10**400), math.inf),  # 2 pi chi / K is past the float range
+        ((2, 3, 5), Fraction(-1, 10**400), -math.inf),
+        ((2, 3, 6), Fraction(-1, 10**400), 0.0),
+    ],
+)
+def test_exact_curvature_below_the_float_range_is_not_flat(cones, K, expected_area):
+    # float(K) is 0.0 here, but K is not, so Gauss-Bonnet is broken.
+    with pytest.raises(GaussBonnetViolation) as info:
+        full_expansion(sig(cones=cones), MetricData(K, 1.0))
+    assert info.value.expected_area == expected_area
+    assert "nan" not in str(info.value)
+
+
+def test_exact_chi_below_the_float_range_is_not_flat():
+    # chi = 1/m underflows as a float; with K = 0 and V > 0 it breaks Gauss-Bonnet.
+    tiny = sig(cones=(2, 2, 10**400))
+    with pytest.raises(GaussBonnetViolation):
+        full_expansion(tiny, MetricData(0, 1.0))
+
+
 def test_gauss_bonnet_tolerance_is_tight_but_not_zero():
     area = 4 * math.pi
     full_expansion(sig(), MetricData(1, area * (1 + 1e-13)))

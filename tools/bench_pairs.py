@@ -13,15 +13,17 @@ The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the number of pairs in which the change was better,
 the change of the median, the parent's interquartile range and a verdict
 (see `compare`), plus the seeds, run order, source digests and host facts
-that bench/run.py reports.  Git, BENCHMARK.json and the commits' trees are
-all taken from the repository that holds this file, so it runs the same from
-any directory.
+that bench/run.py reports, and each run's median time and count per op
+kind, so which kind sets op_p50_ms can be read from the file.  Git,
+BENCHMARK.json and the commits' trees are all taken from the repository
+that holds this file, so it runs the same from any directory.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -30,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# bench/run.py's report line for one op kind: "  <kind>: p50 X ms (n=N)".
+OP_KIND_LINE = re.compile(r"  (\S+): p50 ([0-9.]+) ms \(n=([0-9]+)\)")
 
 
 def extract(rev: str, into: Path) -> str:
@@ -46,7 +50,8 @@ def extract(rev: str, into: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """One bench/run.py run: (its result object, its environment object)."""
+    """One bench/run.py run: its result object, its environment object, and
+    {kind: {"p50_ms": X, "n": N}} from its per-op-kind report lines."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -57,7 +62,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
         raise RuntimeError(f"bench/run.py {workload} {seed} in {checkout} failed:\n{proc.stderr}")
     env = next((json.loads(line.split(":", 1)[1]) for line in lines
                 if line.startswith("environment:")), {})
-    return json.loads(lines[-1]), env
+    kinds = {m[1]: {"p50_ms": float(m[2]), "n": int(m[3])}
+             for m in map(OP_KIND_LINE.fullmatch, lines) if m}
+    return json.loads(lines[-1]), env, kinds
 
 
 def quartiles(values: list) -> dict:
@@ -111,13 +118,15 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
     for w, workload in enumerate(workloads):
         seeds = [args.seed0 + 100 * w + i for i in range(args.pairs)]
         runs = {"parent": [], "change": []}
+        op_kinds = {"parent": [], "change": []}
         order = []
         for i, seed in enumerate(seeds):
             first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             order.append(first[0])
             for side in first:
-                result, env = run_once(sides[side], workload, seed, seconds)
+                result, env, kinds = run_once(sides[side], workload, seed, seconds)
                 runs[side].append(result)
+                op_kinds[side].append(kinds)
                 report["host"] = {k: env[k] for k in ("python", "numpy", "nproc", "cpu") if k in env}
                 report["src_sha256"][side] = env.get("src_sha256")
                 print(f"{workload} seed {seed} {side}: "
@@ -139,6 +148,7 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
             "first_in_pair": order,
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "metrics": metrics,
+            "op_kinds": op_kinds,
         }
     return report
 
