@@ -742,7 +742,10 @@ def test_mutating_a_result_leaves_the_next_call_unchanged():
     fit = fit_expansion(sample_trace(model, times), FIT_DEGREES)
     fit.coefficients[Fraction(0)] = 123.0
     fit.coefficients.clear()
-    predicted_expansion(model).coefficients[Fraction(-1)] = 123.0
+    expansion = predicted_expansion(model)
+    coefficients = dict(expansion.coefficients)
+    expansion.coefficients[Fraction(-1)] = 123.0
+    assert predicted_expansion(model).coefficients == coefficients
     assert verify_model(model, times=times) == expected
     again = fit_expansion(sample_trace(model, times), FIT_DEGREES)
     assert list(again.coefficients.values()) == list(PINNED_FITS["square", 1e-3][0])
