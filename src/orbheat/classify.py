@@ -368,9 +368,13 @@ def _members_at(cls: OrbifoldClass, indices):
                 yield i, (h, k, (*cones, last[i - start]), boundaries)
 
 
-# The prime 2^61 - 1, read at call time.  A denominator of c is a product
-# of orders and 2s, all below it, so it has an inverse modulo it.
-_MODULUS = (1 << 61) - 1
+# The prime 2^29 - 3, read at call time.  A denominator of c is a product
+# of orders and 2s, all below it, so it has an inverse modulo it.  A key
+# needs to tell apart only the members of one bucket and the bucket before
+# (see collision_groups), where a chance collision costs one exact
+# confirmation; and below 2^29 a key, and a sum of two, is a one-digit
+# Python int, whose arithmetic takes the interpreter's fast path.
+_MODULUS = (1 << 29) - 3
 
 
 def collision_groups(cls: OrbifoldClass) -> dict:
@@ -378,11 +382,18 @@ def collision_groups(cls: OrbifoldClass) -> dict:
 
     Each member is keyed by c modulo the prime _MODULUS: c is additive over
     strata, so the key is its stem's residue plus what one more cone of
-    order r adds, one addition and one dict lookup per member.  Members
-    that share a key are rebuilt from the stems and confirmed with the
-    exact c_ratio, which splits a key shared by different c; a member that
-    is its own stem keeps the c_ratio its key was made from.  Groups, and
-    the members in each, come in roster order.
+    order r adds.  The scan sweeps the members in integer buckets and holds
+    the keys of one bucket and the bucket before, so its memory grows with
+    the stems, not the members.  A cone of order r adds r - 2 + 1/r to its
+    stem's c_s, so that member goes in bucket r + floor(c_s), and a stem
+    fills consecutive buckets, one member each; a member that is its own
+    stem goes in bucket floor(c) + 1.  Either way c - bucket lies in
+    (-2, 0), so members with equal c share a bucket or sit in adjacent
+    ones.  Members that share a key within a bucket, or with the bucket
+    before, are rebuilt from the stems and confirmed with the exact
+    c_ratio, which splits a key shared by different c; a member that is
+    its own stem keeps the c_ratio its key was made from.  Groups, and the
+    members in each, come in roster order.
     """
     P = _MODULUS
 
@@ -395,22 +406,47 @@ def collision_groups(cls: OrbifoldClass) -> dict:
     cone = [0, 0] + [
         (residue(c_ratio(0, 0, (r,), ())) - sphere) % P for r in range(2, cls.bound + 1)
     ]
-    first = {}  # residue -> roster index of the first member with it
-    setdefault = first.setdefault
-    shared = set()  # roster indices of the members whose residue is not theirs alone
+    # A stem with a range of last orders is (residue, floor(c_s), roster
+    # index of its member minus that member's bucket), keyed by the roster
+    # index of its first member; starts and ends map a bucket to the stems
+    # that begin there and to those whose last bucket is the one before.
+    starts, ends = {}, {}
+    singles = {}  # bucket -> (residue, roster index) of the members that are their own stems
     own = {}  # roster index -> (c_ratio, member) of each member that is its own stem
     i = 0
     for h, k, cones, boundaries, last in _stems(cls):
         ratio = c_ratio(h, k, cones, boundaries)
-        stem = residue(ratio)
+        floor = ratio[0] // ratio[1]
         if last is None:
             own[i] = ratio, (h, k, cones, boundaries)
-        for w in (0,) if last is None else cone[last.start:last.stop]:
-            f = setdefault((stem + w) % P, i)
-            if f != i:
-                shared.add(f)
-                shared.add(i)
+            singles.setdefault(floor + 1, []).append((residue(ratio), i))
             i += 1
+        else:
+            first = floor + last.start
+            starts.setdefault(first, {})[i] = residue(ratio), floor, i - first
+            ends.setdefault(first + len(last), []).append(i)
+            i += len(last)
+    shared = set()  # roster indices of the members whose residue is not theirs alone
+    active = {}  # the stems with a member in the bucket
+    previous = {}  # residue -> roster index of a member with it, in the bucket before
+    for b in range(min([*starts, *singles]), max([*ends, *singles]) + 1):
+        active.update(starts.pop(b, ()))
+        for j in ends.pop(b, ()):
+            del active[j]
+        # (residue, roster index) of each member in bucket b
+        bucket = [((r + cone[b - floor]) % P, offset + b) for r, floor, offset in active.values()]
+        bucket += singles.pop(b, ())
+        keys = dict(bucket)  # each residue -> the last member with it
+        if len(keys) < len(bucket):
+            for key, j in bucket:
+                if keys[key] != j:
+                    shared.add(j)
+                    shared.add(keys[key])
+        if not previous.keys().isdisjoint(keys):
+            for key in previous.keys() & keys.keys():
+                shared.add(previous[key])
+                shared.add(keys[key])
+        previous = keys
     rebuilt = dict(_members_at(cls, shared.difference(own)))
     groups = {}  # exact c_ratio -> its members, first seen first
     for i in sorted(shared):

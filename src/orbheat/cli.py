@@ -147,7 +147,7 @@ def _cmd_c(args) -> int:
 
 
 def _cmd_expansion(args) -> int:
-    from .heat import DEGREES, GaussBonnetViolation, MetricData, full_expansion
+    from .heat import DEGREES, GaussBonnetViolation, MetricData, _forced_area, full_expansion
     from .notation import parse
     from .signature import _text, euler_characteristic
 
@@ -161,8 +161,8 @@ def _cmd_expansion(args) -> int:
             area = float(args.area)
         elif K != 0:
             try:
-                area = 2.0 * math.pi * float(chi) / float(K)
-            except (OverflowError, ZeroDivisionError):  # float(K) is past the range, or 0
+                area = _forced_area(chi, K)
+            except OverflowError:  # float(K) is past the range
                 raise ValueError(f"curvature {_text(K)} is outside the float range") from None
             if chi * K <= 0:  # decided exactly: no area V > 0 gives K V = 2 pi chi
                 raise GaussBonnetViolation(chi, K, area, area)

@@ -134,7 +134,8 @@ def theta1(t: float) -> float:
     and the terms fall at least as fast as exp(-pi k^2): at every t > 0
     the loop runs at most 4 times.  The sum is truncated as soon as a
     bound on the whole omitted tail drops below 1e-15 times the current
-    partial sum.
+    partial sum.  From a = 40 on, that is t < 1/160 or t > 40/(4 pi^2),
+    the first term 2 exp(-a) already passes that test, so the sum is 1.
     """
     if not (t > 0) or not math.isfinite(t):
         raise ValueError(f"t must be finite and > 0, got {t!r}")
@@ -144,6 +145,8 @@ def theta1(t: float) -> float:
         # sqrt(t) * sqrt(4 pi) rather than sqrt(4 pi t): at subnormal t
         # the product 4 pi t would lose digits before the root.
         a, scale = 0.25 / t, math.sqrt(t) * _SQRT_FOUR_PI
+    if a > 40.0:
+        return 1.0 / scale
     total = 1.0
     k = 1
     while True:

@@ -59,9 +59,13 @@ class GaussBonnetViolation(ValueError):
     """Metric data whose area contradicts 2 pi chi = K V."""
 
     def __init__(self, chi: Fraction, curvature, expected_area: float, actual_area: float):
+        if curvature == 0:
+            forced = ": no area satisfies 2 pi chi = K V"
+        else:
+            forced = f" force area {expected_area!r}"
         super().__init__(
             f"area {actual_area!r} is inconsistent with Gauss-Bonnet: "
-            f"chi = {_text(chi)}, K = {_text(curvature)} force area {expected_area!r}"
+            f"chi = {_text(chi)}, K = {_text(curvature)}{forced}"
         )
         self.chi = chi
         self.curvature = curvature
@@ -241,18 +245,19 @@ def _sign(x) -> int:
 def _forced_area(chi: Fraction, K: Rational) -> float:
     """The area 2 pi chi / K that Gauss-Bonnet forces.
 
-    nan for K = 0, where no area does, and +-inf where it is past the
-    float range.
+    From the floats of chi and K where neither underflows to 0, else from
+    their exact quotient.  nan for K = 0, where no area does, and +-inf
+    where it is past the float range.
     """
     if not K:
         return math.nan
+    chi_f, K_f = float(chi), float(K)
+    if K_f and (chi_f or not chi):
+        return 2.0 * math.pi * chi_f / K_f
     try:
-        return 2.0 * math.pi * float(chi) / float(K)
-    except ZeroDivisionError:  # float(K) underflowed; the exact quotient does not
-        try:
-            return 2.0 * math.pi * float(chi / K)
-        except OverflowError:
-            return math.copysign(math.inf, _sign(chi * K))
+        return 2.0 * math.pi * float(chi / K)
+    except OverflowError:
+        return math.copysign(math.inf, _sign(chi * K))
 
 
 def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
@@ -262,7 +267,8 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
     signature (mirror length must be positive exactly when mirror
     boundaries exist), and GaussBonnetViolation when K and chi differ in
     sign, decided exactly for an exact K, or K V differs from 2 pi chi by
-    more than 1e-12 relative.
+    more than 1e-12 relative.  Where the float of K or of chi underflows
+    to 0, V is compared with 2 pi float(chi / K) instead.
 
     Degree 1 uses the Gauss-Bonnet-exact form K*(chi/30 + singular sums)
     when K != 0, which keeps it an exact Fraction for exact K; it agrees
@@ -279,16 +285,25 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
     # An exact K keeps its sign where its float underflows; any other K
     # counts at its float value.
     K_exact = K if isinstance(K, Rational) else Fraction(float(K))
-    lhs = float(K) * float(metric.area)
-    rhs = 2.0 * math.pi * float(chi)
-    scale = max(abs(lhs), abs(rhs))
+    area = float(metric.area)
     # As V > 0, Gauss-Bonnet needs K and chi of one sign; deciding that
     # exactly catches the violations that the floats of K and chi lose to
     # underflow.
-    if _sign(K_exact) != _sign(chi) or (
-        scale > 0 and abs(lhs - rhs) > _REL_TOL_GAUSS_BONNET * scale
-    ):
-        raise GaussBonnetViolation(chi, K, _forced_area(chi, K_exact), float(metric.area))
+    if _sign(K_exact) != _sign(chi):
+        consistent = False
+    elif not K_exact or (float(K) and float(chi)):
+        lhs = float(K) * area  # inf where K V is past the float range, and 2 pi chi is not
+        rhs = 2.0 * math.pi * float(chi)
+        consistent = math.isfinite(lhs) and (
+            abs(lhs - rhs) <= _REL_TOL_GAUSS_BONNET * max(abs(lhs), abs(rhs))
+        )
+    else:  # the float of K or of chi is 0, though neither is
+        forced = _forced_area(chi, K_exact)
+        consistent = math.isfinite(forced) and (
+            abs(area - forced) <= _REL_TOL_GAUSS_BONNET * max(area, forced)
+        )
+    if not consistent:
+        raise GaussBonnetViolation(chi, K, _forced_area(chi, K_exact), area)
     if K_exact:
         degree_one = K_exact * (chi / 30 + _singular_degree_one_sum(sig))
     else:

@@ -144,6 +144,7 @@ def test_extract_runs_git_at_the_repository_root(monkeypatch, tmp_path):
 RUN_STDOUT = """environment: {"python": "3.11.7", "src_sha256": "abc"}
 workload spectra: 3 ops, 0 failed
 op_p50_ms: 0.3 ms (n=3)
+peak_rss_mb: 26.5 MB (highest ru_maxrss of the op processes; the benchmark process, whose RSS is their floor, peaked at 26.4 MB)
   oracle: p50 0.512 ms (n=1)
   trace: p50 0.021 ms (n=1)
   verify: p50 0.300 ms (n=1)
@@ -158,7 +159,8 @@ def test_run_once_keeps_the_per_kind_lines(monkeypatch, tmp_path):
         return types.SimpleNamespace(returncode=0, stdout=RUN_STDOUT, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
-    result, env, kinds = bench_pairs.run_once(tmp_path, "spectra", 1, 20)
+    result, env, kinds, floor = bench_pairs.run_once(tmp_path, "spectra", 1, 20)
+    assert floor == 26.4
     assert result == {"metrics": {"op_p50_ms": {"unit": "ms", "value": 0.3}}, "failed": 0}
     assert env == {"python": "3.11.7", "src_sha256": "abc"}
     assert kinds == {
@@ -175,7 +177,7 @@ def test_report_holds_each_run_per_kind_medians(monkeypatch, tmp_path):
         calls.append((checkout.name, seed))
         value = 1.0 if checkout.name == "parent" else 0.5
         result = {"metrics": {"op_p50_ms": {"unit": "ms", "value": value}}, "failed": 0}
-        return result, {}, {"verify": {"p50_ms": value + seed, "n": 2}}
+        return result, {}, {"verify": {"p50_ms": value + seed, "n": 2}}, 20.0 + seed
 
     monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: rev)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
@@ -187,3 +189,7 @@ def test_report_holds_each_run_per_kind_medians(monkeypatch, tmp_path):
         "parent": [{"verify": {"p50_ms": 11.0, "n": 2}}, {"verify": {"p50_ms": 12.0, "n": 2}}],
         "change": [{"verify": {"p50_ms": 10.5, "n": 2}}, {"verify": {"p50_ms": 11.5, "n": 2}}],
     }
+    assert report["workloads"]["spectra"]["floor_rss_mb"] == {
+        "parent": [30.0, 31.0], "change": [30.0, 31.0],
+    }
+

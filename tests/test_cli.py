@@ -212,6 +212,29 @@ class TestExpansionCommand:
         assert (code, out) == (1, "")
         assert err == "error: the area 2 pi chi / K is outside the float range\n"
 
+    def test_default_area_from_the_exact_quotient_where_floats_underflow(self, capsys):
+        # chi = K = 10^-400: both floats are 0.0, but chi / K = 1 gives V = 2 pi.
+        notation = "2,2,1" + "0" * 400
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature", "1e-400")
+        assert (code, err) == (0, "")
+        explicit = invoke(
+            capsys, "expansion", notation, "--curvature", "1e-400", "--area", "6.283185307179586"
+        )
+        assert explicit == (0, out, "")
+        code, out, err = invoke(
+            capsys, "expansion", notation, "--curvature", "1e-400", "--area", "1000"
+        )
+        assert (code, out) == (2, "")
+        assert "Gauss-Bonnet" in err and "force area 6.283185307179586" in err
+
+    def test_flat_with_nonzero_chi_admits_no_area(self, capsys):
+        code, out, err = invoke(capsys, "expansion", "2,3,5", "--curvature", "0", "--area", "1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: area 1.0 is inconsistent with Gauss-Bonnet: "
+            "chi = 1/30, K = 0: no area satisfies 2 pi chi = K V\n"
+        )
+
     def test_flat_without_area_exits_one(self, capsys):
         code, _, err = invoke(capsys, "expansion", "o", "--curvature", "0")
         assert code == 1

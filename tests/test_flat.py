@@ -85,6 +85,11 @@ LOG_UNIFORM_T = st.floats(min_value=-300, max_value=3).map(lambda x: 10.0**x)
 @example(t=4.9e-314)
 @example(t=_SWITCH * (1 - 1e-12))
 @example(t=_SWITCH * (1 + 1e-12))
+# theta1 returns its leading term alone where the decay rate a passes 40.
+@example(t=1 / 160 * (1 - 1e-12))
+@example(t=1 / 160 * (1 + 1e-12))
+@example(t=40 / (4 * math.pi**2) * (1 - 1e-12))
+@example(t=40 / (4 * math.pi**2) * (1 + 1e-12))
 def test_theta_matches_mpmath_reference(t):
     reference = theta_reference(t)
     with mpmath.workdps(40):

@@ -515,6 +515,35 @@ def test_exact_chi_below_the_float_range_is_not_flat():
         full_expansion(tiny, MetricData(0, 1.0))
 
 
+def test_flat_metric_with_nonzero_chi_admits_no_area():
+    with pytest.raises(GaussBonnetViolation, match="no area satisfies 2 pi chi = K V$") as info:
+        full_expansion(sig(cones=(2, 3, 5)), MetricData(0, 1.0))
+    assert "nan" not in str(info.value)
+
+
+def test_curvature_and_chi_both_below_the_float_range_fix_the_area():
+    # chi = K = 10^-400: both floats are 0.0, but chi / K = 1 forces V = 2 pi.
+    tiny = sig(cones=(2, 2, 10**400))
+    K = Fraction(1, 10**400)
+    with pytest.raises(GaussBonnetViolation) as info:
+        full_expansion(tiny, MetricData(K, 1000.0))
+    assert info.value.expected_area == 2 * math.pi
+    expansion = full_expansion(tiny, MetricData(K, 2 * math.pi))
+    assert expansion.as_float(-1) == 0.5
+    with pytest.raises(GaussBonnetViolation):
+        full_expansion(tiny, MetricData(K, 2 * math.pi * (1 + 1e-9)))
+    # A float K of 1e-300 keeps its float; chi's is 0.0, so V = 2 pi 10^-100.
+    full_expansion(tiny, MetricData(1e-300, 2 * math.pi * float(Fraction(10**300, 10**400))))
+    with pytest.raises(GaussBonnetViolation):
+        full_expansion(tiny, MetricData(1e-300, 1.0))
+
+
+def test_area_times_curvature_past_the_float_range_breaks_gauss_bonnet():
+    # K V = 10^600 overflows to inf, which no 2 pi chi equals.
+    with pytest.raises(GaussBonnetViolation):
+        full_expansion(sig(cones=(2, 3, 5)), MetricData(1e300, 1e300))
+
+
 def test_gauss_bonnet_tolerance_is_tight_but_not_zero():
     area = 4 * math.pi
     full_expansion(sig(), MetricData(1, area * (1 + 1e-13)))

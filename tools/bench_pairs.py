@@ -14,7 +14,9 @@ median and quartiles, the number of pairs in which the change was better,
 the change of the median, the parent's interquartile range and a verdict
 (see `compare`), plus the seeds, run order, source digests and host facts
 that bench/run.py reports, and each run's median time and count per op
-kind, so which kind sets op_p50_ms can be read from the file.  Git,
+kind, so which kind sets op_p50_ms can be read from the file.  Each run's
+floor_rss_mb is the peak RSS of the benchmark process itself, which no op
+process can read below, so a peak_rss_mb at that floor shows.  Git,
 BENCHMARK.json and the commits' trees are all taken from the repository
 that holds this file, so it runs the same from any directory.
 """
@@ -34,6 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # bench/run.py's report line for one op kind: "  <kind>: p50 X ms (n=N)".
 OP_KIND_LINE = re.compile(r"  (\S+): p50 ([0-9.]+) ms \(n=([0-9]+)\)")
+# The end of bench/run.py's peak_rss_mb line: "... peaked at X MB)".
+FLOOR_RSS = re.compile(r"peak_rss_mb: .* peaked at ([0-9.]+) MB\)")
 
 
 def extract(rev: str, into: Path) -> str:
@@ -50,8 +54,10 @@ def extract(rev: str, into: Path) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
-    """One bench/run.py run: its result object, its environment object, and
-    {kind: {"p50_ms": X, "n": N}} from its per-op-kind report lines."""
+    """One bench/run.py run: its result object, its environment object,
+    {kind: {"p50_ms": X, "n": N}} from its per-op-kind report lines, and the
+    benchmark process's own peak RSS in MB from its peak_rss_mb line, or
+    None without one."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -64,7 +70,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
                 if line.startswith("environment:")), {})
     kinds = {m[1]: {"p50_ms": float(m[2]), "n": int(m[3])}
              for m in map(OP_KIND_LINE.fullmatch, lines) if m}
-    return json.loads(lines[-1]), env, kinds
+    floor = next((float(m[1]) for m in map(FLOOR_RSS.fullmatch, lines) if m), None)
+    return json.loads(lines[-1]), env, kinds, floor
 
 
 def quartiles(values: list) -> dict:
@@ -119,14 +126,16 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
         seeds = [args.seed0 + 100 * w + i for i in range(args.pairs)]
         runs = {"parent": [], "change": []}
         op_kinds = {"parent": [], "change": []}
+        floors = {"parent": [], "change": []}
         order = []
         for i, seed in enumerate(seeds):
             first = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             order.append(first[0])
             for side in first:
-                result, env, kinds = run_once(sides[side], workload, seed, seconds)
+                result, env, kinds, floor = run_once(sides[side], workload, seed, seconds)
                 runs[side].append(result)
                 op_kinds[side].append(kinds)
+                floors[side].append(floor)
                 report["host"] = {k: env[k] for k in ("python", "numpy", "nproc", "cpu") if k in env}
                 report["src_sha256"][side] = env.get("src_sha256")
                 print(f"{workload} seed {seed} {side}: "
@@ -149,6 +158,7 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
             "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in runs},
             "metrics": metrics,
             "op_kinds": op_kinds,
+            "floor_rss_mb": floors,
         }
     return report
 
