@@ -192,4 +192,3 @@ def test_report_holds_each_run_per_kind_medians(monkeypatch, tmp_path):
     assert report["workloads"]["spectra"]["floor_rss_mb"] == {
         "parent": [30.0, 31.0], "change": [30.0, 31.0],
     }
-
