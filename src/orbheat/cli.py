@@ -10,7 +10,6 @@ mismatch.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
@@ -41,8 +40,9 @@ _MODEL_NAMES = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 _CLASS_NAMES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 
-# Largest roster `scan` accepts.  Grouping keeps one dict entry per distinct
-# c, so this caps the scan's memory (a few hundred MB) and run time (seconds).
+# Largest roster `scan` accepts.  The bucket sweep keeps a scan's memory
+# small at any bound (about 20 MB RSS at this limit), so what this caps is
+# run time: about a second at the limit, growing with the members.
 # The exact three-cone search behind `classify --class pillow-negative` and
 # classify.c_preimage is capped the same way, by classify.PILLOW_ORDER_LIMIT,
 # and the flat-model multiplicity oracle by flat.MULTIPLICITY_SHELL_LIMIT;
@@ -147,27 +147,19 @@ def _cmd_c(args) -> int:
 
 
 def _cmd_expansion(args) -> int:
-    from .heat import DEGREES, GaussBonnetViolation, MetricData, _forced_area, full_expansion
+    from .heat import DEGREES, GaussBonnetViolation, MetricData, _default_area, full_expansion
     from .notation import parse
     from .signature import _text, euler_characteristic
 
     sig = parse(args.notation)
-    chi = euler_characteristic(sig)
     K = args.curvature
     # expansion is the one subcommand that can meet a Gauss-Bonnet
     # violation, so it maps that error to its exit code, 2, itself.
     try:
         if args.area is not None:
-            area = float(args.area)
+            area = args.area
         elif K != 0:
-            try:
-                area = _forced_area(chi, K)
-            except OverflowError:  # float(K) is past the range
-                raise ValueError(f"curvature {_text(K)} is outside the float range") from None
-            if chi * K <= 0:  # decided exactly: no area V > 0 gives K V = 2 pi chi
-                raise GaussBonnetViolation(chi, K, area, area)
-            if not 0.0 < area < math.inf:  # the float quotient underflowed or overflowed
-                raise ValueError("the area 2 pi chi / K is outside the float range")
+            area = _default_area(euler_characteristic(sig), K)
         else:
             raise ValueError("--area is required when the curvature is 0")
         metric = MetricData(curvature=K, area=area, mirror_length=args.mirror_length)

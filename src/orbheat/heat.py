@@ -145,9 +145,9 @@ def coefficient_minus_half(metric: MetricData) -> float:
 
 
 def coefficient_half(metric: MetricData) -> float:
-    # The scalar curvature 2K integrated over the mirror locus: 2 K L.
-    mirror_curvature = 2.0 * float(metric.curvature) * float(metric.mirror_length)
-    return mirror_curvature / (64.0 * math.sqrt(math.pi))
+    # Q / (64 sqrt(pi)) with Q = 2 K L, the scalar curvature 2K integrated
+    # over the mirror locus; the 2 cancels first, so no 2 K L can overflow.
+    return float(metric.curvature) * float(metric.mirror_length) / (32.0 * math.sqrt(math.pi))
 
 
 def _degree_one_weight(m: int) -> int:
@@ -193,7 +193,7 @@ class HeatExpansion(Record):
             raise ValueError(f"expansion must carry exactly degrees {DEGREES}")
         if not isinstance(coefficients[Fraction(0)], Rational):
             raise ValueError("degree-0 coefficient must be exact")
-        if float(coefficients[Fraction(-1)]) <= 0:
+        if coefficients[Fraction(-1)] <= 0:  # not its float, which can overflow
             raise ValueError("degree -1 coefficient (area term) must be positive")
         object.__setattr__(self, "coefficients", dict(coefficients))
 
@@ -217,13 +217,12 @@ class HeatExpansion(Record):
             key = f"deg_{float(degree):g}"
             if degree == 0:
                 out[key] = rational_to_json(self.degree_zero)
-            else:
-                try:
-                    out[key] = self.as_float(degree)
-                except OverflowError:
-                    raise ValueError(
-                        f"the degree {degree} coefficient is past the float range of JSON output"
-                    ) from None
+            elif _finite(self[degree]):
+                out[key] = self.as_float(degree)
+            else:  # JSON has no inf or nan
+                raise ValueError(
+                    f"the degree {degree} coefficient is past the float range of JSON output"
+                )
         return out
 
     @classmethod
@@ -238,26 +237,41 @@ class HeatExpansion(Record):
         return cls(coefficients)
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
 def _forced_area(chi: Fraction, K: Rational) -> float:
-    """The area 2 pi chi / K that Gauss-Bonnet forces.
+    """The area 2 pi chi / K that Gauss-Bonnet forces, for an exact K.
 
-    From the floats of chi and K where neither underflows to 0, else from
-    their exact quotient.  nan for K = 0, where no area does, and +-inf
-    where it is past the float range.
+    From the floats of chi and K where both are normal floats, else from
+    their exact quotient: a subnormal float has lost precision, and one
+    past the float range has none.  nan for K = 0, where no area does, and
+    +-inf where it is past the float range; it never raises.
     """
     if not K:
         return math.nan
-    chi_f, K_f = float(chi), float(K)
-    if K_f and (chi_f or not chi):
+    try:
+        chi_f, K_f = float(chi), float(K)
+    except OverflowError:
+        chi_f = K_f = 0.0
+    if abs(K_f) >= 2.0**-1022 and (abs(chi_f) >= 2.0**-1022 or not chi):
         return 2.0 * math.pi * chi_f / K_f
     try:
         return 2.0 * math.pi * float(chi / K)
     except OverflowError:
-        return math.copysign(math.inf, _sign(chi * K))
+        return math.inf if (chi > 0) == (K > 0) else -math.inf
+
+
+def _default_area(chi: Fraction, K: Rational) -> float:
+    """The forced area of a nonzero exact K, for metric data given without an area.
+
+    Raises GaussBonnetViolation where chi K <= 0, decided exactly, since no
+    area V > 0 then satisfies K V = 2 pi chi, and ValueError where the area
+    is past the float range.
+    """
+    area = _forced_area(chi, K)
+    if chi * K <= 0:
+        raise GaussBonnetViolation(chi, K, area, area)
+    if not 0.0 < area < math.inf:
+        raise ValueError("the area 2 pi chi / K is outside the float range")
+    return area
 
 
 def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
@@ -265,10 +279,12 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
 
     Raises ValueError when the metric's mirror data contradicts the
     signature (mirror length must be positive exactly when mirror
-    boundaries exist), and GaussBonnetViolation when K and chi differ in
-    sign, decided exactly for an exact K, or K V differs from 2 pi chi by
-    more than 1e-12 relative.  Where the float of K or of chi underflows
-    to 0, V is compared with 2 pi float(chi / K) instead.
+    boundaries exist), and GaussBonnetViolation when the metric breaks
+    2 pi chi = K V.  A float K counts at its exact value.  The one rule:
+    K = chi = 0 is consistent with every area; otherwise the area that
+    Gauss-Bonnet forces, 2 pi chi / K, must be a finite positive float and
+    V must lie within 1e-12 relative of it.  So K = 0 with chi != 0, and
+    a K or chi of the wrong sign, decided exactly, break it at any V.
 
     Degree 1 uses the Gauss-Bonnet-exact form K*(chi/30 + singular sums)
     when K != 0, which keeps it an exact Fraction for exact K; it agrees
@@ -282,28 +298,15 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
         raise ValueError("mirror_length given for a signature without mirrors")
 
     K = metric.curvature
-    # An exact K keeps its sign where its float underflows; any other K
-    # counts at its float value.
     K_exact = K if isinstance(K, Rational) else Fraction(float(K))
     area = float(metric.area)
-    # As V > 0, Gauss-Bonnet needs K and chi of one sign; deciding that
-    # exactly catches the violations that the floats of K and chi lose to
-    # underflow.
-    if _sign(K_exact) != _sign(chi):
-        consistent = False
-    elif not K_exact or (float(K) and float(chi)):
-        lhs = float(K) * area  # inf where K V is past the float range, and 2 pi chi is not
-        rhs = 2.0 * math.pi * float(chi)
-        consistent = math.isfinite(lhs) and (
-            abs(lhs - rhs) <= _REL_TOL_GAUSS_BONNET * max(abs(lhs), abs(rhs))
-        )
-    else:  # the float of K or of chi is 0, though neither is
+    if K_exact or chi:
         forced = _forced_area(chi, K_exact)
-        consistent = math.isfinite(forced) and (
-            abs(area - forced) <= _REL_TOL_GAUSS_BONNET * max(area, forced)
-        )
-    if not consistent:
-        raise GaussBonnetViolation(chi, K, _forced_area(chi, K_exact), area)
+        if not (
+            0.0 < forced < math.inf
+            and abs(area - forced) <= _REL_TOL_GAUSS_BONNET * max(area, forced)
+        ):
+            raise GaussBonnetViolation(chi, K, forced, area)
     if K_exact:
         degree_one = K_exact * (chi / 30 + _singular_degree_one_sum(sig))
     else:

@@ -882,6 +882,11 @@ class TestCurvatureSign:
         expansion, sig = constant_curvature_expansion("2,3,5", Fraction(1, 4))
         assert curvature_sign(expansion, 0.25, sig) == CurvatureSign.POSITIVE
 
+    def test_degree_one_past_the_float_range(self):
+        # The remainder is K times a positive singular sum, past the float range.
+        expansion, sig = constant_curvature_expansion("2,2," + "7" * 250, Fraction(1))
+        assert curvature_sign(expansion, 1.0, sig) == CurvatureSign.POSITIVE
+
     def test_ambiguous_zero(self):
         # degree-1 matches the smooth prediction exactly and degree 0 vanishes
         flat = HeatExpansion({

@@ -227,6 +227,32 @@ class TestExpansionCommand:
         assert (code, out) == (2, "")
         assert "Gauss-Bonnet" in err and "force area 6.283185307179586" in err
 
+    @pytest.mark.parametrize("notation", ["2,3,7", "2,3,6"])
+    def test_curvature_past_the_float_range_breaks_gauss_bonnet_at_chi_k_at_most_0(
+        self, capsys, notation
+    ):
+        # chi K <= 0 leaves no area, whatever the range of K.
+        code, out, err = invoke(capsys, "expansion", notation, "--curvature=1e400")
+        assert (code, out) == (2, "")
+        assert "Gauss-Bonnet" in err and err.count("\n") == 1
+
+    def test_json_mirror_term_where_2_k_l_overflows(self, capsys):
+        code, out, err = invoke(
+            capsys, "expansion", "*2,3,5", "--curvature", "1",
+            "--mirror-length", "1e308", "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        got = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
+        assert got["deg_0.5"] == 1e308 / (32 * math.sqrt(math.pi))
+
+    def test_json_mirror_term_past_the_float_range_exits_one(self, capsys):
+        code, out, err = invoke(
+            capsys, "expansion", "*2,3,5", "--curvature", "1e300",
+            "--mirror-length", "1e10", "--format", "json",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the degree 1/2 coefficient is past the float range of JSON output\n"
+
     def test_flat_with_nonzero_chi_admits_no_area(self, capsys):
         code, out, err = invoke(capsys, "expansion", "2,3,5", "--curvature", "0", "--area", "1")
         assert (code, out) == (2, "")

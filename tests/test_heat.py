@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from orbheat.heat import (
     DEGREES,
     GaussBonnetViolation,
+    _default_area,
     HeatExpansion,
     MetricData,
     c_ratio,
@@ -387,6 +390,12 @@ def test_coefficient_half():
     assert coefficient_half(metric) == pytest.approx(SQRT_PI / 16)
 
 
+def test_coefficient_half_where_2_k_l_overflows():
+    # K L / (32 sqrt(pi)) is about 1.76e306, though 2 K L is past the float range.
+    metric = MetricData(1, 1.0, mirror_length=1e308)
+    assert coefficient_half(metric) == 1e308 / (32 * SQRT_PI)
+
+
 def test_coefficient_one_flat_is_zero():
     assert coefficient_one(sig(handles=1), MetricData(0, 1.0)) == 0.0
     assert coefficient_one(sig(cones=(2, 2, 2, 2)), MetricData(0, 0.5)) == 0.0
@@ -551,6 +560,111 @@ def test_gauss_bonnet_tolerance_is_tight_but_not_zero():
         full_expansion(sig(), MetricData(1, area * (1 + 1e-9)))
 
 
+# Orders from 2 up to 400 digits, so chi can underflow a float.
+_ORDERS = st.one_of(st.integers(2, 12), st.integers(13, 10**400))
+
+
+@st.composite
+def _signatures(draw):
+    if draw(st.booleans()):  # 2,2,m has chi = 1/m, which the big orders make tiny
+        return sig(cones=(2, 2, draw(_ORDERS)))
+    return sig(
+        handles=draw(st.integers(0, 2)),
+        crosscaps=draw(st.integers(0, 2)),
+        cones=draw(st.lists(_ORDERS, max_size=4)),
+        boundaries=draw(st.lists(st.lists(_ORDERS, max_size=3), max_size=2)),
+    )
+
+
+# Exact K of either sign from 1e-406 to 1e400.
+_EXACT_CURVATURES = st.builds(
+    lambda sign, m, e: sign * Fraction(m, 10**6) * Fraction(10) ** e,
+    st.sampled_from((1, -1)),
+    st.integers(1, 10**6),
+    st.integers(-400, 400),
+)
+_CURVATURES = st.one_of(
+    st.just(0), _EXACT_CURVATURES, st.floats(allow_nan=False, allow_infinity=False)
+)
+# Relative offsets of the area from the forced one, clear of the 1e-12 tolerance.
+_DELTAS = st.one_of(
+    st.just(0.0),
+    st.floats(-0.9e-12, 0.9e-12),
+    st.floats(1.1e-12, 1.0),
+    st.floats(-0.5, -1.1e-12),
+)
+
+
+def _oracle_chi(s):
+    """chi from the signature's parts, independently of orbheat."""
+    chi = Fraction(2 - 2 * s.handles - s.crosscaps - len(s.mirror_boundaries))
+    chi -= sum(1 - Fraction(1, m) for m in s.cone_points)
+    chi -= sum((1 - Fraction(1, n)) / 2 for b in s.mirror_boundaries for n in b)
+    return chi
+
+
+def _mp(x):
+    q = Fraction(x)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _oracle_forced_area(chi, K):
+    """2 pi chi / K to 50 digits, or None where no positive area satisfies it."""
+    if K == 0 or chi * K <= 0:
+        return None
+    with mpmath.workdps(50):
+        return 2 * mpmath.pi * _mp(chi) / _mp(K)
+
+
+def _oracle_consistent(chi, K, V):
+    with mpmath.workdps(50):
+        lhs, rhs = _mp(K) * _mp(V), 2 * mpmath.pi * _mp(chi)
+        return abs(lhs - rhs) <= mpmath.mpf("1e-12") * max(abs(lhs), abs(rhs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signatures(), _CURVATURES, _DELTAS, st.floats(1e-3, 1e3))
+# A K and a chi whose floats are subnormal, with a normal forced area.
+@example(sig(cones=(2, 2, 10**10)), Fraction(1, 10**315), 0.0, 1.0)
+@example(sig(cones=(2, 2, 10**315)), Fraction(1, 10**300), 0.0, 1.0)
+def test_gauss_bonnet_verdict_matches_a_50_digit_oracle(s, K, delta, other_area):
+    assume(abs(K) <= sys.float_info.max)  # MetricData takes no K past the float range
+    chi = _oracle_chi(s)
+    forced = _oracle_forced_area(chi, K)
+    if forced is None:
+        V = other_area
+    else:
+        with mpmath.workdps(50):
+            V = float(forced * (1 + _mp(delta)))
+        V = min(max(V, sys.float_info.min), sys.float_info.max)
+    metric = MetricData(K, V, mirror_length=1.0 if s.has_mirrors else 0.0)
+    try:
+        full_expansion(s, metric)
+        consistent = True
+    except GaussBonnetViolation:
+        consistent = False
+    assert consistent == _oracle_consistent(chi, K, V)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_signatures(), _EXACT_CURVATURES)
+def test_default_area_is_always_accepted(s, K):
+    chi = _oracle_chi(s)
+    forced = _oracle_forced_area(chi, K)
+    if forced is None:
+        with pytest.raises(GaussBonnetViolation):
+            _default_area(chi, K)
+        return
+    try:
+        area = _default_area(chi, K)
+    except ValueError as exc:
+        assert str(exc) == "the area 2 pi chi / K is outside the float range"
+        assert not sys.float_info.min <= forced <= sys.float_info.max
+        return
+    assume(abs(K) <= sys.float_info.max)
+    full_expansion(s, MetricData(K, area, mirror_length=1.0 if s.has_mirrors else 0.0))
+
+
 def test_mirror_length_consistency():
     square = sig(boundaries=((2, 2, 2, 2),))
     with pytest.raises(ValueError):
@@ -663,6 +777,25 @@ def test_expansion_json_names_a_degree_past_the_float_range():
     expansion = HeatExpansion(coeffs)
     with pytest.raises(ValueError, match="degree 1 coefficient"):
         expansion.to_json()
+
+
+def test_expansion_json_rejects_a_float_past_the_range():
+    coeffs = {d: 0.0 for d in DEGREES}
+    coeffs[Fraction(-1)] = 1.0
+    coeffs[Fraction(0)] = Fraction(1)
+    coeffs[Fraction(1, 2)] = math.inf
+    with pytest.raises(ValueError, match="degree 1/2 coefficient"):
+        HeatExpansion(coeffs).to_json()
+
+
+def test_expansion_checks_an_exact_volume_term_past_the_float_range():
+    coeffs = {d: 0.0 for d in DEGREES}
+    coeffs[Fraction(0)] = Fraction(1)
+    coeffs[Fraction(-1)] = Fraction(10**400)
+    assert HeatExpansion(coeffs)[-1] == 10**400
+    coeffs[Fraction(-1)] = Fraction(-(10**400))
+    with pytest.raises(ValueError, match="must be positive"):
+        HeatExpansion(coeffs)
 
 
 def test_notation_front_end_agrees():
