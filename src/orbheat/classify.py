@@ -535,12 +535,13 @@ def curvature_sign(expansion: HeatExpansion, abs_K, sig: OrbifoldSignature) -> C
     deg_m1 = expansion.as_float(-1)
     try:
         deg_1 = expansion.as_float(1)
-        smooth_part = a * a * deg_m1 / 15.0
-        tolerance = 1e-9
     except OverflowError:  # an exact degree 1 past the float range: the same test, exactly
         deg_1 = expansion[1]
         smooth_part = Fraction(a) ** 2 * Fraction(deg_m1) / 15
         tolerance = Fraction(1, 10**9)
+    else:
+        smooth_part = a * a * deg_m1 / 15.0
+        tolerance = 1e-9
     remainder = deg_1 - smooth_part
     scale = max(1.0, abs(deg_1), abs(smooth_part))
     if abs(remainder) > tolerance * scale:
