@@ -14,7 +14,8 @@ coefficient):
 
 Everything that feeds a classification decision is exact rational
 arithmetic; floats appear only in the returned mirror lengths (multiples
-of pi) and in curvature_sign's float inputs.
+of pi) and as curvature_sign's inputs, which it converts exactly, so it
+recovers the sign at any scale of K.
 """
 
 from __future__ import annotations
@@ -527,24 +528,21 @@ def curvature_sign(expansion: HeatExpansion, abs_K, sig: OrbifoldSignature) -> C
     combination of cone/corner sums, whose sign is the answer whenever
     singular points exist.  For smooth signatures that remainder is
     identically zero and the (exact) degree-0 coefficient chi/6 decides.
-    Raises AmbiguousZero when both tests vanish.
+    The test is exact: abs_K and both coefficients count at their exact
+    values, a float included, and the remainder must exceed 1e-9 of the
+    larger of degree 1 and its smooth part, so it holds at any scale of K.
+    Raises ValueError for a non-finite coefficient, and AmbiguousZero when
+    both tests vanish.
     """
-    a = float(abs_K)
-    if not (a > 0) or not math.isfinite(a):
+    if not 0 < abs_K < math.inf:
         raise ValueError(f"abs_K must be finite and > 0, got {abs_K!r}")
-    deg_m1 = expansion.as_float(-1)
-    try:
-        deg_1 = expansion.as_float(1)
-    except OverflowError:  # an exact degree 1 past the float range: the same test, exactly
-        deg_1 = expansion[1]
-        smooth_part = Fraction(a) ** 2 * Fraction(deg_m1) / 15
-        tolerance = Fraction(1, 10**9)
-    else:
-        smooth_part = a * a * deg_m1 / 15.0
-        tolerance = 1e-9
+    deg_m1, deg_1 = expansion[-1], expansion[1]
+    if not (-math.inf < deg_m1 < math.inf and -math.inf < deg_1 < math.inf):
+        raise ValueError("the degree -1 and 1 coefficients must be finite")
+    deg_1 = Fraction(deg_1)
+    smooth_part = Fraction(abs_K) ** 2 * Fraction(deg_m1) / 15
     remainder = deg_1 - smooth_part
-    scale = max(1.0, abs(deg_1), abs(smooth_part))
-    if abs(remainder) > tolerance * scale:
+    if abs(remainder) * 10**9 > max(abs(deg_1), abs(smooth_part)):
         return CurvatureSign.POSITIVE if remainder > 0 else CurvatureSign.NEGATIVE
     if not sig.cone_points and not sig.corner_orders:
         deg_0 = expansion.degree_zero

@@ -31,6 +31,7 @@ compare them with the cosecants summed term by term.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Rational
 
@@ -73,13 +74,6 @@ class GaussBonnetViolation(ValueError):
         self.actual_area = actual_area
 
 
-def _finite(x) -> bool:
-    try:
-        return math.isfinite(float(x))
-    except OverflowError:  # an exact value past the float range
-        return False
-
-
 class MetricData(Record):
     """Constant-curvature metric data for a closed 2-orbifold.
 
@@ -91,11 +85,14 @@ class MetricData(Record):
     __slots__ = ("curvature", "area", "mirror_length")
 
     def __init__(self, curvature, area: float, mirror_length: float = 0.0):
-        if not _finite(curvature):
-            raise ValueError(f"curvature must be finite, got {curvature!r}")
-        if not _finite(area) or float(area) <= 0:
+        # Exact comparisons with the largest float: nan fails them, and an
+        # exact value past the float range fails them without a conversion.
+        top = sys.float_info.max
+        if not abs(curvature) <= top:
+            raise ValueError("curvature must be finite and within the float range")
+        if not (abs(area) <= top and float(area) > 0):
             raise ValueError(f"area must be finite and > 0, got {area!r}")
-        if not _finite(mirror_length) or float(mirror_length) < 0:
+        if not (abs(mirror_length) <= top and float(mirror_length) >= 0):
             raise ValueError(
                 f"mirror_length must be finite and >= 0, got {mirror_length!r}"
             )
@@ -146,8 +143,11 @@ def coefficient_minus_half(metric: MetricData) -> float:
 
 def coefficient_half(metric: MetricData) -> float:
     # Q / (64 sqrt(pi)) with Q = 2 K L, the scalar curvature 2K integrated
-    # over the mirror locus; the 2 cancels first, so no 2 K L can overflow.
-    return float(metric.curvature) * float(metric.mirror_length) / (32.0 * math.sqrt(math.pi))
+    # over the mirror locus; the 2 cancels first, so no 2 K L can overflow,
+    # and L is divided first where K L alone would.
+    K, L = float(metric.curvature), float(metric.mirror_length)
+    value = K * L / (32.0 * math.sqrt(math.pi))
+    return K * (L / (32.0 * math.sqrt(math.pi))) if math.isinf(value) else value
 
 
 def _degree_one_weight(m: int) -> int:
@@ -162,7 +162,7 @@ def _singular_degree_one_sum(sig: OrbifoldSignature) -> Fraction:
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:
     """Degree-1 coefficient from the metric's area (no Gauss-Bonnet assumed)."""
     K = float(metric.curvature)
-    smooth = K * K * float(metric.area) / (60.0 * math.pi)
+    smooth = K * (K * float(metric.area)) / (60.0 * math.pi)  # K * K alone can overflow
     return smooth + K * float(_singular_degree_one_sum(sig))
 
 
@@ -180,9 +180,9 @@ class HeatExpansion(Record):
     """The five leading heat coefficients, keyed by exact degree.
 
     Degrees are Fraction(-1), Fraction(-1, 2), 0, Fraction(1, 2), 1.  The
-    degree-0 value is always an exact Fraction; degree 1 is exact whenever
-    the curvature was given exactly; the rest are floats.  Like a dict, an
-    expansion is not hashable.
+    degree-0 value is always an exact Fraction, and full_expansion makes
+    degree 1 one too; the rest are floats.  Like a dict, an expansion is
+    not hashable.
     """
 
     __slots__ = ("coefficients",)
@@ -217,7 +217,7 @@ class HeatExpansion(Record):
             key = f"deg_{float(degree):g}"
             if degree == 0:
                 out[key] = rational_to_json(self.degree_zero)
-            elif _finite(self[degree]):
+            elif abs(self[degree]) <= sys.float_info.max:
                 out[key] = self.as_float(degree)
             else:  # JSON has no inf or nan
                 raise ValueError(
@@ -286,9 +286,9 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
     V must lie within 1e-12 relative of it.  So K = 0 with chi != 0, and
     a K or chi of the wrong sign, decided exactly, break it at any V.
 
-    Degree 1 uses the Gauss-Bonnet-exact form K*(chi/30 + singular sums)
-    when K != 0, which keeps it an exact Fraction for exact K; it agrees
-    with coefficient_one (the area form) within the enforced tolerance.
+    Degree 1 uses the Gauss-Bonnet-exact form K*(chi/30 + singular sums),
+    an exact Fraction at every K; it agrees with coefficient_one (the area
+    form) within the enforced tolerance.
     """
     chi = euler_characteristic(sig)
     L = float(metric.mirror_length)
@@ -297,20 +297,15 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
     if not sig.has_mirrors and L != 0:
         raise ValueError("mirror_length given for a signature without mirrors")
 
-    K = metric.curvature
-    K_exact = K if isinstance(K, Rational) else Fraction(float(K))
+    K = Fraction(metric.curvature)
     area = float(metric.area)
-    if K_exact or chi:
-        forced = _forced_area(chi, K_exact)
+    if K or chi:
+        forced = _forced_area(chi, K)
         if not (
             0.0 < forced < math.inf
             and abs(area - forced) <= _REL_TOL_GAUSS_BONNET * max(area, forced)
         ):
-            raise GaussBonnetViolation(chi, K, forced, area)
-    if K_exact:
-        degree_one = K_exact * (chi / 30 + _singular_degree_one_sum(sig))
-    else:
-        degree_one = Fraction(0)
+            raise GaussBonnetViolation(chi, metric.curvature, forced, area)
 
     return HeatExpansion(
         {
@@ -318,6 +313,6 @@ def full_expansion(sig: OrbifoldSignature, metric: MetricData) -> HeatExpansion:
             Fraction(-1, 2): coefficient_minus_half(metric),
             Fraction(0): degree_zero_term(sig),
             Fraction(1, 2): coefficient_half(metric),
-            Fraction(1): degree_one,
+            Fraction(1): K * (chi / 30 + _singular_degree_one_sum(sig)),
         }
     )

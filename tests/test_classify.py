@@ -899,6 +899,43 @@ class TestCurvatureSign:
         with pytest.raises(AmbiguousZero):
             curvature_sign(flat, 1.0, parse("o"))
 
+    @pytest.mark.parametrize(
+        "notation", ["2,3,5", "2,3,7", "*2,3,7", "2,2,3,3", "3*", "*2,2,5", "o,2", "", "o,o"]
+    )
+    def test_sign_at_every_scale_of_curvature(self, notation):
+        # K = +-10^e at its Gauss-Bonnet area, e from -300 to 300.  In floats,
+        # K^2 overflows past about 1e154, and a tolerance with a floor at 1
+        # swallows the remainder below about 1e-9.
+        chi = euler_characteristic(parse(notation))
+        sign = CurvatureSign.POSITIVE if chi > 0 else CurvatureSign.NEGATIVE
+        wrong = []
+        for e in range(-300, 301, 10):
+            K = Fraction(10) ** e if chi > 0 else -Fraction(10) ** e
+            expansion, sig = constant_curvature_expansion(notation, K, 1.0 if "*" in notation else 0.0)
+            try:
+                got = curvature_sign(expansion, 10.0**e, sig)
+            except AmbiguousZero:
+                got = None
+            if got is not sign:
+                wrong.append(e)
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "degree, value",
+        [(1, math.inf), (1, -math.inf), (1, math.nan), (-1, math.inf), (-1, math.nan)],
+    )
+    def test_non_finite_coefficient(self, degree, value):
+        coefficients = {
+            Fraction(-1): 1.0,
+            Fraction(-1, 2): 0.0,
+            Fraction(0): Fraction(1, 6),
+            Fraction(1, 2): 0.0,
+            Fraction(1): 1.0,
+        }
+        coefficients[Fraction(degree)] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            curvature_sign(HeatExpansion(coefficients), 1.0, parse("2,3,5"))
+
     def test_invalid_abs_curvature(self):
         expansion, sig = constant_curvature_expansion("2,3,5", Fraction(1))
         for bad in (0.0, -1.0, float("nan"), float("inf")):

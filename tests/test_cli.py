@@ -198,6 +198,14 @@ class TestExpansionCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("curvature", ["3e308", "1.7976931348623158e308"])
+    @pytest.mark.parametrize("extra", [(), ("--area", "1")])
+    def test_curvature_just_past_the_float_range_gets_one_short_line(self, capsys, curvature, extra):
+        # The second decimal rounds down to the largest float, but its exact value is past it.
+        code, out, err = invoke(capsys, "expansion", "2,3,5", f"--curvature={curvature}", *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: curvature must be finite and within the float range\n"
+
     @pytest.mark.parametrize("notation", ["2,3,6", "2,3,5"])
     def test_exact_curvature_below_the_float_range_exits_two(self, capsys, notation):
         code, out, err = invoke(capsys, "expansion", notation, "--curvature=1e-400", "--area", "1")
@@ -245,10 +253,22 @@ class TestExpansionCommand:
         got = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in JSON"))
         assert got["deg_0.5"] == 1e308 / (32 * math.sqrt(math.pi))
 
+    @pytest.mark.parametrize("curvature, mirror_length", [("3", "1e308"), ("1e300", "1e10")])
+    def test_mirror_term_where_k_l_overflows(self, capsys, curvature, mirror_length):
+        # K L is past the float range, K L / (32 sqrt(pi)) is not.
+        value = float(curvature) * (float(mirror_length) / (32 * math.sqrt(math.pi)))
+        argv = ("expansion", "*2,3,5", "--curvature", curvature, "--mirror-length", mirror_length)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert f"deg 1/2: {value!r}" in out.splitlines()
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["deg_0.5"] == value
+
     def test_json_mirror_term_past_the_float_range_exits_one(self, capsys):
         code, out, err = invoke(
             capsys, "expansion", "*2,3,5", "--curvature", "1e300",
-            "--mirror-length", "1e10", "--format", "json",
+            "--mirror-length", "1e12", "--format", "json",
         )
         assert (code, out) == (1, "")
         assert err == "error: the degree 1/2 coefficient is past the float range of JSON output\n"

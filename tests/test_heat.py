@@ -396,6 +396,24 @@ def test_coefficient_half_where_2_k_l_overflows():
     assert coefficient_half(metric) == 1e308 / (32 * SQRT_PI)
 
 
+@pytest.mark.parametrize(
+    "curvature, mirror_length",
+    [(3, 1e308), (10**300, 1e10), (-3, 1e308)],
+    ids=["3-1e308", "10^300-1e10", "-3-1e308"],
+)
+def test_coefficient_half_where_k_l_overflows(curvature, mirror_length):
+    # K L is past the float range, K L / (32 sqrt(pi)) is not.
+    value = coefficient_half(MetricData(curvature, 1.0, mirror_length=mirror_length))
+    assert value == curvature * (mirror_length / (32 * SQRT_PI))
+    exact = mpmath.mpf(curvature) * mirror_length / (32 * mpmath.sqrt(mpmath.pi))
+    assert value == pytest.approx(float(exact), rel=1e-15)
+
+
+def test_coefficient_half_keeps_its_bits_where_k_l_is_finite():
+    metric = MetricData(Fraction(7, 3), 1.0, mirror_length=1e300)
+    assert coefficient_half(metric) == (7 / 3) * 1e300 / (32 * SQRT_PI)
+
+
 def test_coefficient_one_flat_is_zero():
     assert coefficient_one(sig(handles=1), MetricData(0, 1.0)) == 0.0
     assert coefficient_one(sig(cones=(2, 2, 2, 2)), MetricData(0, 0.5)) == 0.0
@@ -404,6 +422,15 @@ def test_coefficient_one_flat_is_zero():
 def test_coefficient_one_sphere_quotient():
     value = coefficient_one(sig(cones=(2, 3, 5)), MetricData(1, math.pi / 15))
     assert value == pytest.approx(7471 / 10800, rel=1e-12)
+
+
+@pytest.mark.parametrize("curvature", [1e160, 1e300, Fraction(10) ** 200], ids=["1e160", "1e300", "10^200"])
+def test_coefficient_one_where_k_squared_overflows(curvature):
+    # K^2 is past the float range; at the Gauss-Bonnet area K^2 V / (60 pi)
+    # is K chi / 30, and the coefficient K times its value at K = 1.
+    area = 2 * math.pi / 30 / float(curvature)
+    value = coefficient_one(sig(cones=(2, 3, 5)), MetricData(curvature, area))
+    assert value == pytest.approx(float(curvature) * 7471 / 10800, rel=1e-12)
 
 
 # === Full assembly ===

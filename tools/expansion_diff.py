@@ -1,0 +1,125 @@
+"""Byte-for-byte differential of `orbheat expansion` between two commits.
+
+    python3 tools/expansion_diff.py --parent REV --change REV
+
+Each commit is extracted with bench_pairs.extract into its own fresh
+temporary directory.  One Python process per tree runs every argv of
+argv_set() through that tree's orbheat.cli.run and records its exit code,
+stdout and stderr; the two processes run side by side.  The argv set is
+fixed: 17 signatures x 16 curvatures x 5 areas x 4 mirror lengths x
+2 formats, 10,880 runs, chosen around the edges of the float range.  Each
+argv whose (exit, stdout, stderr) differs is printed with both sides, and
+the exit status is 1 when any differ, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import itertools
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import extract
+
+SIGNATURES = (
+    "", "o", "o,o", "x", "2,3,5", "2,3,6", "2,3,7", "2,2,3,3", "o,2",
+    "*", "o,*", "3*", "*2,2,5", "*2,3,5", "*2,3,7",
+    "2,2," + "7" * 250,  # degree 1 past the float range
+    "2,2,1" + "0" * 400,  # chi = 10^-400 below it
+)
+CURVATURES = (
+    "0", "1", "-1", "1/4", "-1/4", "3", "1e-9", "-1e-9", "1e160", "-1e160",
+    "1e300", "-1e300", "1e-400", "1e400", "3e308",
+    "1.7976931348623158e308",  # just above the largest float
+)
+AREAS = (None, "1", "0.20943951023931953", "6.283185307179586", "12.566370614359172")
+MIRROR_LENGTHS = (None, "1", "1e10", "1e308")
+FORMATS = ("text", "json")
+
+# Run in each tree: read a JSON list of argv on stdin, write a JSON list of
+# [exit, stdout, stderr] on stdout.  Building the argparse parser is most of
+# a run's time and parsing leaves it as it was, so run() gets one parser.
+_WORKER = """
+import contextlib, functools, io, json, sys
+from orbheat import cli
+cli.build_parser = functools.cache(cli.build_parser)
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def argv_set() -> list:
+    """Every `orbheat expansion` argv of the differential, in a fixed order."""
+    argvs = []
+    for sig, K, area, length, fmt in itertools.product(
+        SIGNATURES, CURVATURES, AREAS, MIRROR_LENGTHS, FORMATS
+    ):
+        # --option=value, so that argparse reads a negative value as a value.
+        argv = ["expansion", sig, f"--curvature={K}", f"--format={fmt}"]
+        argv += [f"--area={area}"] * (area is not None)
+        argv += [f"--mirror-length={length}"] * (length is not None)
+        argvs.append(argv)
+    return argvs
+
+
+def start(tree: Path, argvs: list) -> subprocess.Popen:
+    """Start the worker on the orbheat under tree/src, fed argvs."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _WORKER], cwd=tree, env=env, text=True,
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdin.write(json.dumps(argvs))
+    proc.stdin.close()
+    return proc
+
+
+def results(proc: subprocess.Popen) -> list:
+    """The worker's (exit, stdout, stderr) per argv, once it has ended."""
+    out, err = proc.stdout.read(), proc.stderr.read()
+    if proc.wait() != 0:
+        raise RuntimeError(f"the worker failed:\n{err}")
+    return [tuple(r) for r in json.loads(out)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True)
+    parser.add_argument("--change", required=True)
+    args = parser.parse_args(argv)
+
+    argvs = argv_set()
+    work = Path(tempfile.mkdtemp(prefix="expansion-diff-"))
+    try:
+        sides = {"parent": work / "parent", "change": work / "change"}
+        for side, tree in sides.items():
+            extract(getattr(args, side), tree)
+        with contextlib.ExitStack() as procs:  # closes the pipes and waits
+            started = {side: procs.enter_context(start(tree, argvs)) for side, tree in sides.items()}
+            outputs = {side: results(proc) for side, proc in started.items()}
+    finally:
+        shutil.rmtree(work)
+    differing = 0
+    for run_argv, parent, change in zip(argvs, outputs["parent"], outputs["change"]):
+        if parent != change:
+            differing += 1
+            print(" ".join(["orbheat", *map(repr, run_argv)]))
+            print(f"  parent: {parent!r}")
+            print(f"  change: {change!r}")
+    print(f"{differing} of {len(argvs)} argv differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
