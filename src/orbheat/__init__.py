@@ -55,7 +55,6 @@ _EXPORTS = {
         "GaussBonnetViolation",
         "HeatExpansion",
         "MetricData",
-        "c_ratio",
         "coefficient_half",
         "coefficient_minus_half",
         "coefficient_minus_one",
@@ -63,13 +62,13 @@ _EXPORTS = {
         "degree_zero_term",
         "full_expansion",
         "has_half_integer_terms",
-        "spectral_c",
     ),
     "notation": ("ALIASES", "NotationError", "NotationErrorKind", "parse", "render"),
     "signature": (
         "GeometryType",
         "OrbifoldSignature",
         "SignatureError",
+        "c_ratio",
         "euler_characteristic",
         "geometry_type",
         "is_bad",
@@ -78,6 +77,7 @@ _EXPORTS = {
         "rational_to_json",
         "signature_from_json",
         "signature_to_json",
+        "spectral_c",
     ),
     "tables": ("verify_table1", "verify_table2"),
 }

@@ -25,15 +25,16 @@ from enum import Enum
 from fractions import Fraction
 
 from ._record import Record
-from .heat import HeatExpansion, c_ratio, spectral_c
 from .notation import render
 from .signature import (
     GeometryType,
     OrbifoldSignature,
+    c_ratio,
     euler_characteristic,
     geometry_type,
     is_bad,
     rational_to_json,
+    spectral_c,
 )
 
 

@@ -32,10 +32,10 @@ def _fraction(text: str) -> Fraction:
 
 
 # Each subcommand imports the orbheat modules it calls inside its _cmd_*
-# function, so a run loads only those: `c` loads notation, signature and
-# heat, and only trace, fit and verify load flat.  For the same reason the
-# values of flat.FlatModel and classify.ClassKind are written out here, in
-# order.
+# function, so a run loads only those: `c` loads notation and signature,
+# `expansion` adds heat, and only trace, fit and verify load flat.  For the
+# same reason the values of flat.FlatModel and classify.ClassKind are
+# written out here, in order.
 _MODEL_NAMES = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 _CLASS_NAMES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
@@ -137,9 +137,8 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_c(args) -> int:
-    from .heat import spectral_c
     from .notation import parse
-    from .signature import _text, rational_to_json
+    from .signature import _text, rational_to_json, spectral_c
 
     value = spectral_c(parse(args.notation))
     _emit(args, rational_to_json(value), [_text(value)])

@@ -23,9 +23,8 @@ The singular-point contributions come from averaging the rotation kernel
 over the local isotropy group: a cone of order m adds (1/m) times the
 cosecant sums sum_j csc^2(pi j/m) / 4 at degree 0 and K sum_j csc^4(pi j/m) / 8
 at degree 1, and a corner adds half of what a cone of its order adds.
-Their closed forms live in the weights _c_weight and _degree_one_weight
-alone, which signature.stratum_ratio sums over the strata; the tests
-compare them with the cosecants summed term by term.
+Their closed forms and c live in signature beside stratum_ratio, the walk
+over the strata; this module holds what depends on the metric (K, V, L).
 """
 
 from __future__ import annotations
@@ -36,13 +35,15 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._record import Record
-from .signature import (
+from .signature import (  # c_ratio and spectral_c stay importable from here
     OrbifoldSignature,
+    _singular_degree_one_sum,
     _text,
+    c_ratio,
     euler_characteristic,
     rational_from_json,
     rational_to_json,
-    stratum_ratio,
+    spectral_c,
 )
 
 DEGREES = (
@@ -101,33 +102,6 @@ class MetricData(Record):
         object.__setattr__(self, "mirror_length", mirror_length)
 
 
-def _c_weight(m: int) -> int:
-    return (m - 1) ** 2
-
-
-def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:
-    """The spectral constant c as a reduced (numerator, denominator) int pair.
-
-    c = 4 - 4 handles - 2 crosscaps - 2 boundaries
-        + sum_cones (m-1)^2/m + sum_corners (n-1)^2/(2n),
-
-    which is 12 * (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)) with chi
-    expanded.  cones is a sequence of cone orders and boundaries a sequence
-    of corner-order sequences, all >= 2.  Trading one handle for two
-    crosscaps leaves c unchanged, so the counts need not be normalized.
-    The denominator is positive.
-    """
-    base = 4 - 4 * handles - 2 * crosscaps - 2 * len(boundaries)
-    return stratum_ratio(base, cones, boundaries, _c_weight)
-
-
-def spectral_c(sig: OrbifoldSignature) -> Fraction:
-    """The integer-normalized spectral constant c = 12 * degree-0 coefficient."""
-    return Fraction(
-        *c_ratio(sig.handles, sig.crosscaps, sig.cone_points, sig.mirror_boundaries)
-    )
-
-
 def degree_zero_term(sig: OrbifoldSignature) -> Fraction:
     """Exact degree-0 heat coefficient; purely topological."""
     return spectral_c(sig) / 12
@@ -148,15 +122,6 @@ def coefficient_half(metric: MetricData) -> float:
     K, L = float(metric.curvature), float(metric.mirror_length)
     value = K * L / (32.0 * math.sqrt(math.pi))
     return K * (L / (32.0 * math.sqrt(math.pi))) if math.isinf(value) else value
-
-
-def _degree_one_weight(m: int) -> int:
-    return m**4 + 10 * m * m - 11
-
-
-def _singular_degree_one_sum(sig: OrbifoldSignature) -> Fraction:
-    ratio = stratum_ratio(0, sig.cone_points, sig.mirror_boundaries, _degree_one_weight)
-    return Fraction(*ratio) / 360
 
 
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:

@@ -11,7 +11,8 @@ Euler characteristic bookkeeping: a handle costs 2, a crosscap costs 1, a
 mirror boundary component costs 1, a cone point of order m costs (m-1)/m,
 and a corner reflector of order n costs (n-1)/(2n); chi is 2 minus the
 total.  chi, the spectral constant c and the degree-1 cone/corner sum are
-each one exact call of stratum_ratio, the one walk over the strata.
+each one exact call of stratum_ratio, the one walk over the strata, with
+its weight beside it.  All three are topological; heat holds the metric.
 """
 
 from __future__ import annotations
@@ -125,6 +126,40 @@ def euler_characteristic(sig: OrbifoldSignature) -> Fraction:
     """Exact orbifold Euler characteristic."""
     base = 2 - 2 * sig.handles - sig.crosscaps - len(sig.mirror_boundaries)
     return Fraction(*stratum_ratio(base, sig.cone_points, sig.mirror_boundaries, _chi_weight))
+
+
+def _c_weight(m: int) -> int:
+    return (m - 1) ** 2
+
+
+def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:
+    """The spectral constant c as a reduced (numerator, denominator) int pair.
+
+    c = 4 - 4 handles - 2 crosscaps - 2 boundaries
+        + sum_cones (m-1)^2/m + sum_corners (n-1)^2/(2n),
+
+    which is 12 * (chi/6 + sum (m^2-1)/(12m) + sum (n^2-1)/(24n)) with chi
+    expanded.  cones is a sequence of cone orders and boundaries a sequence
+    of corner-order sequences, all >= 2.  Trading one handle for two
+    crosscaps leaves c unchanged, so the counts need not be normalized.
+    The denominator is positive.
+    """
+    base = 4 - 4 * handles - 2 * crosscaps - 2 * len(boundaries)
+    return stratum_ratio(base, cones, boundaries, _c_weight)
+
+
+def spectral_c(sig: OrbifoldSignature) -> Fraction:
+    """The integer-normalized spectral constant c = 12 * degree-0 coefficient."""
+    return Fraction(*c_ratio(sig.handles, sig.crosscaps, sig.cone_points, sig.mirror_boundaries))
+
+
+def _degree_one_weight(m: int) -> int:
+    return m**4 + 10 * m * m - 11
+
+
+def _singular_degree_one_sum(sig: OrbifoldSignature) -> Fraction:
+    ratio = stratum_ratio(0, sig.cone_points, sig.mirror_boundaries, _degree_one_weight)
+    return Fraction(*ratio) / 360
 
 
 def is_orientable(sig: OrbifoldSignature) -> bool:

@@ -273,6 +273,7 @@ class TestExpansionCommand:
         assert (code, out) == (1, "")
         assert err == "error: the degree 1/2 coefficient is past the float range of JSON output\n"
 
+
     def test_flat_with_nonzero_chi_admits_no_area(self, capsys):
         code, out, err = invoke(capsys, "expansion", "2,3,5", "--curvature", "0", "--area", "1")
         assert (code, out) == (2, "")
@@ -600,15 +601,15 @@ def test_module_entry_points(module):
 _BASE = {"orbheat", "orbheat.cli", "orbheat._record", "orbheat.signature"}
 _NOTATION = _BASE | {"orbheat.notation"}
 _HEAT = _NOTATION | {"orbheat.heat"}
-_CLASSIFY = _HEAT | {"orbheat.classify"}
+_CLASSIFY = _NOTATION | {"orbheat.classify"}
 _FLAT = _BASE | {"orbheat.heat", "orbheat.flat"}
 _FIT = _FLAT | {"orbheat._lstsq"}
 FOOTPRINTS = [
     (["parse", "2,3,5"], _NOTATION),
     (["parse", "*2,1"], _NOTATION),
     (["chi", "2,3,5"], _NOTATION),
-    (["c", "2,3,5"], _HEAT),
-    (["c", "2,3,5", "--format", "json"], _HEAT),
+    (["c", "2,3,5"], _NOTATION),
+    (["c", "2,3,5", "--format", "json"], _NOTATION),
     (["expansion", "2,3,5", "--curvature", "1"], _HEAT),
     (["expansion", "2,3,5", "--curvature", "1", "--area", "3"], _HEAT),
     (["classify", "--class", "spherical", "--pair", "2,2,2", "*2,2,2"], _CLASSIFY),
@@ -653,7 +654,6 @@ def test_classify_module_loads_neither_flat_nor_tables():
         "orbheat",
         "orbheat._record",
         "orbheat.classify",
-        "orbheat.heat",
         "orbheat.notation",
         "orbheat.signature",
     ]

@@ -331,3 +331,12 @@ def test_signature_json_round_trip(signature):
 def test_signature_json_checks_instead_of_coercing(blob):
     with pytest.raises(SignatureError):
         signature_from_json(blob)
+
+
+def test_heat_binds_the_same_c_ratio_and_spectral_c():
+    # c_ratio and spectral_c live in signature; heat still binds the same objects.
+    import orbheat.heat
+    import orbheat.signature
+
+    assert orbheat.heat.c_ratio is orbheat.signature.c_ratio
+    assert orbheat.heat.spectral_c is orbheat.signature.spectral_c
