@@ -1,4 +1,4 @@
-"""Byte-for-byte differential of `orbheat expansion` between two commits.
+"""Byte-for-byte differential of `orbheat` subcommands between two commits.
 
     python3 tools/expansion_diff.py --parent REV --change REV
 
@@ -6,10 +6,19 @@ Each commit is extracted with bench_pairs.extract into its own fresh
 temporary directory.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
-fixed: 17 signatures x 16 curvatures x 5 areas x 4 mirror lengths x
-2 formats, 10,880 runs, chosen around the edges of the float range.  Each
-argv whose (exit, stdout, stderr) differs is printed with both sides, and
-the exit status is 1 when any differ, else 0.
+fixed, 11,618 runs in two parts, each in both formats:
+
+  * `expansion`: 17 signatures x 16 curvatures x 5 areas x 4 mirror
+    lengths x 2 formats, 10,880 runs, chosen around the edges of the float
+    range;
+  * the topological subcommands, 738 runs: `parse`, `chi` and `c` on the
+    17 signatures; `classify --class spherical|positive-zero --pair` on the
+    ordered pairs of 12 notations; `classify --class pillow-negative` at
+    16 c values; `scan` on all four classes at bounds 2, 20 and 60; and
+    `tables --which 1|2`.
+
+Each argv whose (exit, stdout, stderr) differs is printed with both sides,
+and the exit status is 1 when any differ, else 0.
 """
 
 from __future__ import annotations
@@ -41,6 +50,18 @@ CURVATURES = (
 AREAS = (None, "1", "0.20943951023931953", "6.283185307179586", "12.566370614359172")
 MIRROR_LENGTHS = (None, "1", "1e10", "1e308")
 FORMATS = ("text", "json")
+# Spherical, flat, bad and hyperbolic, with and without mirrors.
+PAIR_NOTATIONS = (
+    "", "x", "*", "2,2,2", "*2,2,2", "3*", "*3,3", "2,3,5", "*2,3,5", "o", "5", "2,3,7",
+)
+C_VALUES = (
+    "0", "-1", "-5/3", "1/2", "4", "8", "9", "41/5", "64/7", "271/30", "461/42",
+    "647/60", "67/4", "8001/2",
+    "600000000000001/10000000",  # past classify.PILLOW_ORDER_LIMIT
+    "1/0",
+)
+SCAN_CLASSES = ("teardrops-footballs", "pillows", "class-c", "spherical")
+SCAN_BOUNDS = (2, 20, 60)
 
 # Run in each tree: read a JSON list of argv on stdin, write a JSON list of
 # [exit, stdout, stderr] on stdout.  Building the argparse parser is most of
@@ -60,7 +81,7 @@ json.dump(results, sys.stdout)
 
 
 def argv_set() -> list:
-    """Every `orbheat expansion` argv of the differential, in a fixed order."""
+    """Every argv of the differential, in a fixed order: expansion first."""
     argvs = []
     for sig, K, area, length, fmt in itertools.product(
         SIGNATURES, CURVATURES, AREAS, MIRROR_LENGTHS, FORMATS
@@ -70,6 +91,20 @@ def argv_set() -> list:
         argv += [f"--area={area}"] * (area is not None)
         argv += [f"--mirror-length={length}"] * (length is not None)
         argvs.append(argv)
+    topological = [[command, sig] for command in ("parse", "chi", "c") for sig in SIGNATURES]
+    topological += [
+        ["classify", f"--class={name}", "--pair", a, b]
+        for name in ("spherical", "positive-zero")
+        for a, b in itertools.product(PAIR_NOTATIONS, repeat=2)
+    ]
+    topological += [["classify", "--class=pillow-negative", f"--c-value={c}"] for c in C_VALUES]
+    topological += [
+        ["scan", f"--class={name}", f"--bound={bound}"]
+        for name in SCAN_CLASSES
+        for bound in SCAN_BOUNDS
+    ]
+    topological += [["tables", f"--which={which}"] for which in (1, 2)]
+    argvs += [argv + [f"--format={fmt}"] for argv in topological for fmt in FORMATS]
     return argvs
 
 
