@@ -167,11 +167,15 @@ def _cmd_expansion(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # The JSON floats can overflow where the exact text does not, so only
-    # the requested format is built.
+    # the requested format is built.  In text, exact values print at any
+    # size, and only a float of the metric can be past the float range.
     if args.format == "json":
         _emit(args, expansion.to_json(), ())
-    else:
-        _emit(args, None, [f"deg {d}: {_text(expansion[d])}" for d in DEGREES])
+        return 0
+    for d in DEGREES:
+        if isinstance(expansion[d], float) and not abs(expansion[d]) <= sys.float_info.max:
+            raise ValueError(f"the degree {d} coefficient is past the float range")
+    _emit(args, None, [f"deg {d}: {_text(expansion[d])}" for d in DEGREES])
     return 0
 
 

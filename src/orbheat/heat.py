@@ -125,10 +125,19 @@ def coefficient_half(metric: MetricData) -> float:
 
 
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:
-    """Degree-1 coefficient from the metric's area (no Gauss-Bonnet assumed)."""
+    """Degree-1 coefficient from the metric's area (no Gauss-Bonnet assumed).
+
+    Raises ValueError where K times the singular sum is past the float range.
+    """
     K = float(metric.curvature)
     smooth = K * (K * float(metric.area)) / (60.0 * math.pi)  # K * K alone can overflow
-    return smooth + K * float(_singular_degree_one_sum(sig))
+    singular = _singular_degree_one_sum(sig)
+    if abs(singular) <= sys.float_info.max:
+        return smooth + K * float(singular)
+    try:  # the sum alone is past the float range, but a small K can bring K times it back
+        return smooth + float(Fraction(K) * singular)
+    except OverflowError:
+        raise ValueError("the degree 1 coefficient is past the float range") from None
 
 
 def has_half_integer_terms(sig: OrbifoldSignature) -> bool:

@@ -273,6 +273,14 @@ class TestExpansionCommand:
         assert (code, out) == (1, "")
         assert err == "error: the degree 1/2 coefficient is past the float range of JSON output\n"
 
+    def test_text_mirror_term_past_the_float_range_exits_one(self, capsys):
+        # c[1/2] is a float of the metric, about 1.76e310, so text has no
+        # exact value to print, unlike degree 1.
+        code, out, err = invoke(
+            capsys, "expansion", "*2,3,5", "--curvature", "1e300", "--mirror-length", "1e12",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: the degree 1/2 coefficient is past the float range\n"
 
     def test_flat_with_nonzero_chi_admits_no_area(self, capsys):
         code, out, err = invoke(capsys, "expansion", "2,3,5", "--curvature", "0", "--area", "1")

@@ -433,6 +433,20 @@ def test_coefficient_one_where_k_squared_overflows(curvature):
     assert value == pytest.approx(float(curvature) * 7471 / 10800, rel=1e-12)
 
 
+def test_coefficient_one_where_the_singular_sum_is_past_the_float_range():
+    # A 120-digit cone order puts (m^4+10m^2-11)/(360m), the cone's degree-1
+    # term at K = 1, near 1e357.
+    m = int("7" * 120)
+    signature = sig(cones=(2, 2, m))
+    for curvature in (1, -1e-10):
+        with pytest.raises(ValueError, match="^the degree 1 coefficient is past the float range$"):
+            coefficient_one(signature, MetricData(curvature, 1.0))
+    # A small K brings K times the sum back; K^2 V underflows to 0.
+    singular = Fraction(2 * (16 + 40 - 11), 2 * 360) + Fraction(m**4 + 10 * m * m - 11, 360 * m)
+    assert coefficient_one(signature, MetricData(1e-300, 1.0)) == float(Fraction(1e-300) * singular)
+    assert coefficient_one(signature, MetricData(0, 1.0)) == 0.0
+
+
 # === Full assembly ===
 
 def test_full_expansion_pillowcase():
