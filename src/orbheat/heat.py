@@ -127,7 +127,8 @@ def coefficient_half(metric: MetricData) -> float:
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:
     """Degree-1 coefficient from the metric's area (no Gauss-Bonnet assumed).
 
-    Raises ValueError where K times the singular sum is past the float range.
+    Raises ValueError where the exact cone/corner sum and K times it are both
+    past the float range.
     """
     K = float(metric.curvature)
     smooth = K * (K * float(metric.area)) / (60.0 * math.pi)  # K * K alone can overflow
