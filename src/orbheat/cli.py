@@ -10,11 +10,22 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only numbers like -5 and -.5 as option values and
+        # reads "-1/4" or "-1e-3" as an unknown option, so that the option
+        # before it lacks its value.  This matcher also takes negative
+        # fractions and exponent forms as values.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$"
+        )
+
     # argparse's stock usage-error exit code is 2, which this tool reserves
     # for Gauss-Bonnet violations; argument problems are validation failures.
     def error(self, message):
@@ -146,9 +157,9 @@ def _cmd_c(args) -> int:
 
 
 def _cmd_expansion(args) -> int:
-    from .heat import DEGREES, GaussBonnetViolation, MetricData, _default_area, full_expansion
+    from .heat import GaussBonnetViolation, MetricData, _default_area, full_expansion
     from .notation import parse
-    from .signature import _text, euler_characteristic
+    from .signature import euler_characteristic
 
     sig = parse(args.notation)
     K = args.curvature
@@ -166,16 +177,11 @@ def _cmd_expansion(args) -> int:
     except GaussBonnetViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # The JSON floats can overflow where the exact text does not, so only
-    # the requested format is built.  In text, exact values print at any
-    # size, and only a float of the metric can be past the float range.
+    # Each format refuses what it cannot write, so only the requested one is built.
     if args.format == "json":
         _emit(args, expansion.to_json(), ())
-        return 0
-    for d in DEGREES:
-        if isinstance(expansion[d], float) and not abs(expansion[d]) <= sys.float_info.max:
-            raise ValueError(f"the degree {d} coefficient is past the float range")
-    _emit(args, None, [f"deg {d}: {_text(expansion[d])}" for d in DEGREES])
+    else:
+        _emit(args, None, [expansion.to_text()])
     return 0
 
 

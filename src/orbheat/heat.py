@@ -25,6 +25,8 @@ cosecant sums sum_j csc^2(pi j/m) / 4 at degree 0 and K sum_j csc^4(pi j/m) / 8
 at degree 1, and a corner adds half of what a cone of its order adds.
 Their closed forms and c live in signature beside stratum_ratio, the walk
 over the strata; this module holds what depends on the metric (K, V, L).
+HeatExpansion.to_text and to_json render an expansion, and they alone
+decide which of its coefficients is past the float range.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ DEGREES = (
 )
 
 _REL_TOL_GAUSS_BONNET = 1e-12
+
+# 1/pi to 64 digits, so that coefficient_one rounds its exact sum once.
+_ONE_OVER_PI = Fraction("0.3183098861837906715377675267450287240689192914809128974953346881")
 
 
 class GaussBonnetViolation(ValueError):
@@ -116,9 +121,13 @@ def coefficient_minus_half(metric: MetricData) -> float:
 
 
 def coefficient_half(metric: MetricData) -> float:
-    # Q / (64 sqrt(pi)) with Q = 2 K L, the scalar curvature 2K integrated
-    # over the mirror locus; the 2 cancels first, so no 2 K L can overflow,
-    # and L is divided first where K L alone would.
+    """Degree-1/2 coefficient Q / (64 sqrt(pi)), Q = 2 K L.
+
+    +-inf where it is past the float range; full_expansion stores that for
+    to_text and to_json to refuse.
+    """
+    # The 2 of Q = 2 K L cancels first, so no 2 K L can overflow, and L is
+    # divided first where K L alone would.
     K, L = float(metric.curvature), float(metric.mirror_length)
     value = K * L / (32.0 * math.sqrt(math.pi))
     return K * (L / (32.0 * math.sqrt(math.pi))) if math.isinf(value) else value
@@ -127,16 +136,15 @@ def coefficient_half(metric: MetricData) -> float:
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:
     """Degree-1 coefficient from the metric's area (no Gauss-Bonnet assumed).
 
-    Raises ValueError where the exact cone/corner sum and K times it are both
-    past the float range.
+    The float of one exact sum, K^2 V / (60 pi) with a 64-digit 1/pi plus K
+    times the cone/corner sum, so it is rounded once, also where the two
+    terms nearly cancel.  Raises ValueError where that sum is past the
+    float range; it never returns +-inf.
     """
-    K = float(metric.curvature)
-    smooth = K * (K * float(metric.area)) / (60.0 * math.pi)  # K * K alone can overflow
-    singular = _singular_degree_one_sum(sig)
-    if abs(singular) <= sys.float_info.max:
-        return smooth + K * float(singular)
-    try:  # the sum alone is past the float range, but a small K can bring K times it back
-        return smooth + float(Fraction(K) * singular)
+    K = Fraction(metric.curvature)
+    exact = K * (K * Fraction(metric.area) * _ONE_OVER_PI / 60 + _singular_degree_one_sum(sig))
+    try:
+        return float(exact)
     except OverflowError:
         raise ValueError("the degree 1 coefficient is past the float range") from None
 
@@ -184,21 +192,42 @@ class HeatExpansion(Record):
     def degree_zero(self) -> Fraction:
         return Fraction(self.coefficients[Fraction(0)])
 
-    def to_json(self) -> dict:
-        # Degree 0 is the one coefficient that is exact for every metric;
-        # the rest serialize as floats.
-        out = {}
+    def _refuse_past_float_range(self, json: bool) -> None:
+        # JSON writes every degree but 0 as a float; text writes only the
+        # floats as floats.  nan is refused with the values past the range.
         for degree in DEGREES:
-            key = f"deg_{float(degree):g}"
-            if degree == 0:
-                out[key] = rational_to_json(self.degree_zero)
-            elif abs(self[degree]) <= sys.float_info.max:
-                out[key] = self.as_float(degree)
-            else:  # JSON has no inf or nan
-                raise ValueError(
-                    f"the degree {degree} coefficient is past the float range of JSON output"
-                )
-        return out
+            value = self[degree]
+            written_as_float = degree != 0 if json else isinstance(value, float)
+            if written_as_float and not abs(value) <= sys.float_info.max:
+                where = " of JSON output" if json else ""
+                raise ValueError(f"the degree {degree} coefficient is past the float range{where}")
+
+    def to_text(self) -> str:
+        """The lines "deg d: value", one per degree, exact values in full.
+
+        The rule of both formats: a float past the float range is refused in
+        both, an exact value only in JSON.  So this raises ValueError naming
+        the first degree whose float is past the range, and prints an exact
+        value at any size.
+        """
+        self._refuse_past_float_range(json=False)
+        return "\n".join(f"deg {degree}: {_text(self[degree])}" for degree in DEGREES)
+
+    def to_json(self) -> dict:
+        """{"deg_-1": ..., "deg_1": ...}: degree 0 exact, the rest as floats.
+
+        The rule of both formats: a float past the float range is refused in
+        both, an exact value only in JSON.  JSON writes every degree but 0 as
+        a float and has no inf or nan, so this raises ValueError naming the
+        first such degree past the range, whether its value is exact or not.
+        """
+        self._refuse_past_float_range(json=True)
+        return {
+            f"deg_{float(degree):g}": rational_to_json(self.degree_zero)
+            if degree == 0
+            else self.as_float(degree)
+            for degree in DEGREES
+        }
 
     @classmethod
     def from_json(cls, obj: dict) -> "HeatExpansion":

@@ -168,6 +168,17 @@ class TestExpansionCommand:
         for key in ("deg_-1", "deg_-0.5", "deg_0.5", "deg_1"):
             assert got[key] == pytest.approx(expected[key], rel=1e-15, abs=1e-300)
 
+    @pytest.mark.parametrize(
+        "notation, curvature", [("2,3,5", 1), ("2,2," + "7" * 250, 1), ("*2,3,7", -1)]
+    )
+    def test_text_is_to_text(self, capsys, notation, curvature):
+        sig = parse(notation)
+        area = 2 * math.pi * float(euler_characteristic(sig)) / curvature
+        metric = MetricData(curvature, area, mirror_length=1.0 if sig.has_mirrors else 0.0)
+        argv = ["expansion", notation, f"--curvature={curvature}", f"--area={area!r}"]
+        argv += ["--mirror-length=1.0"] * sig.has_mirrors
+        assert invoke(capsys, *argv) == (0, full_expansion(sig, metric).to_text() + "\n", "")
+
     def test_explicit_area_and_mirror_length(self, capsys):
         code, out, _ = invoke(
             capsys, "expansion", "*,*", "--curvature", "0", "--area", "1.0",
@@ -576,6 +587,31 @@ class TestUsageErrors:
         code, _, err = invoke(capsys, "chi", "o", "--frobnicate")
         assert code == 1
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (("expansion", "2,3,7"), "--curvature", "-1/4"),
+            (("expansion", "2,3,7"), "--curvature", "-1e-3"),
+            (("expansion", "2,3,7", "--area", "1"), "--curvature", "-1E+2"),
+            (("expansion", "2,3,5", "--area", "1"), "--curvature", "-1e400"),
+            (("classify", "--class", "pillow-negative"), "--c-value", "-7/2"),
+            (("trace", "--model", "torus"), "--t", "-1e-3"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_negative_value_reads_as_its_equals_twin(self, capsys, argv, flag, value, fmt):
+        # argparse alone reads "-1/4" and "-1e-3" as options and exits 1
+        # with "expected one argument".
+        spaced = invoke(capsys, *argv, flag, value, "--format", fmt)
+        assert spaced == invoke(capsys, *argv, f"{flag}={value}", "--format", fmt)
+        assert "expected one argument" not in spaced[2]
+
+    @pytest.mark.parametrize("value", ["-x", "-1/", "-1e", "-/4"])
+    def test_a_dash_word_that_is_no_number_is_still_an_option(self, capsys, value):
+        code, out, err = invoke(capsys, "expansion", "2,3,7", "--curvature", value)
+        assert (code, out) == (1, "")
+        assert "argument --curvature: expected one argument" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = invoke(capsys, "--help")

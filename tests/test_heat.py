@@ -441,11 +441,73 @@ def test_coefficient_one_where_the_singular_sum_is_past_the_float_range():
     for curvature in (1, -1e-10):
         with pytest.raises(ValueError, match="^the degree 1 coefficient is past the float range$"):
             coefficient_one(signature, MetricData(curvature, 1.0))
-    # A small K brings K times the sum back; K^2 V underflows to 0.
+    # A small K brings K times the sum back; K^2 V / (60 pi), near 5e-603,
+    # is far below half an ulp of it.
     singular = Fraction(2 * (16 + 40 - 11), 2 * 360) + Fraction(m**4 + 10 * m * m - 11, 360 * m)
     assert coefficient_one(signature, MetricData(1e-300, 1.0)) == float(Fraction(1e-300) * singular)
     assert coefficient_one(signature, MetricData(0, 1.0)) == 0.0
 
+
+
+def test_coefficient_one_is_never_infinite_where_its_float_terms_would_overflow():
+    # K^2 V / (60 pi) is about -9e297 and K times the cone/corner sum
+    # about -2.8e315, which a float sum returned as -inf.
+    signature = sig(cones=(2, 3, 1000003))
+    area = 2 * math.pi * float(euler_characteristic(signature)) / -1e300
+    with pytest.raises(ValueError, match="^the degree 1 coefficient is past the float range$"):
+        coefficient_one(signature, MetricData(-1e300, area))
+
+
+def _oracle_degree_one_sum(s):
+    """Sum of (m^4+10m^2-11)/(360m) over the cones and half of it over the corners."""
+    def w(m):
+        return Fraction(m**4 + 10 * m * m - 11, 360 * m)
+
+    return sum(map(w, s.cone_points), Fraction(0)) + sum(
+        (w(n) / 2 for b in s.mirror_boundaries for n in b), Fraction(0)
+    )
+
+
+# Orders up to 200 digits, and K = +-10^e, as a float or exact.
+_DEGREE_ONE_ORDERS = st.one_of(st.integers(2, 12), st.integers(13, 10**200))
+_POWERS_OF_TEN = st.builds(
+    lambda sign, e, exact: sign * (Fraction(10) ** e if exact else 10.0**e),
+    st.sampled_from((1, -1)),
+    st.integers(-300, 300),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        sig,
+        handles=st.integers(0, 2),
+        crosscaps=st.integers(0, 2),
+        cones=st.lists(_DEGREE_ONE_ORDERS, max_size=4),
+        boundaries=st.lists(st.lists(_DEGREE_ONE_ORDERS, max_size=3), max_size=2),
+    ),
+    _POWERS_OF_TEN,
+    st.booleans(),
+    st.floats(1e-300, 1e300),
+)
+@example(sig(cones=(2, 3, 1000003)), -1e300, True, 1.0)
+@example(sig(cones=(2, 2, int("7" * 120))), 1e-300, False, 1.0)
+def test_coefficient_one_is_finite_and_within_two_ulps_or_refused(s, K, gauss_bonnet, other_area):
+    """At the Gauss-Bonnet area where it is a positive float, else at other_area."""
+    forced = 2 * math.pi * float(euler_characteristic(s)) / float(K) if K else 0.0
+    area = forced if gauss_bonnet and 0 < forced < math.inf else other_area
+    with mpmath.workdps(50):
+        k = _mp(K)
+        reference = k * k * _mp(area) / (60 * mpmath.pi) + k * _mp(_oracle_degree_one_sum(s))
+    try:
+        value = coefficient_one(s, MetricData(K, area))
+    except ValueError as exc:
+        assert str(exc) == "the degree 1 coefficient is past the float range"
+        assert abs(reference) > sys.float_info.max
+        return
+    assert type(value) is float and math.isfinite(value)
+    assert abs(mpmath.mpf(value) - reference) <= 2 * math.ulp(float(reference))
 
 # === Full assembly ===
 
@@ -837,6 +899,38 @@ def test_expansion_checks_an_exact_volume_term_past_the_float_range():
     coeffs[Fraction(-1)] = Fraction(-(10**400))
     with pytest.raises(ValueError, match="must be positive"):
         HeatExpansion(coeffs)
+
+
+def test_text_prints_an_exact_value_in_full_and_json_refuses_it():
+    coeffs = {d: 0.0 for d in DEGREES}
+    coeffs[Fraction(-1)] = 1.0
+    coeffs[Fraction(0)] = Fraction(10**400, 3)
+    coeffs[Fraction(1)] = Fraction(-(10**400), 7)
+    expansion = HeatExpansion(coeffs)
+    assert expansion.to_text() == "\n".join(
+        ["deg -1: 1.0", "deg -1/2: 0.0", f"deg 0: {10**400}/3", "deg 1/2: 0.0", f"deg 1: -{10**400}/7"]
+    )
+    # Degree 0 is written exactly in JSON too; degree 1 is written as a float.
+    with pytest.raises(
+        ValueError, match="^the degree 1 coefficient is past the float range of JSON output$"
+    ):
+        expansion.to_json()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_both_formats_refuse_a_float_past_the_range(value):
+    coeffs = {d: 0.0 for d in DEGREES}
+    coeffs[Fraction(-1)] = 1.0
+    coeffs[Fraction(0)] = Fraction(1)
+    coeffs[Fraction(1, 2)] = value
+    coeffs[Fraction(1)] = math.inf  # the first degree past the range is the one named
+    expansion = HeatExpansion(coeffs)
+    with pytest.raises(ValueError, match="^the degree 1/2 coefficient is past the float range$"):
+        expansion.to_text()
+    with pytest.raises(
+        ValueError, match="^the degree 1/2 coefficient is past the float range of JSON output$"
+    ):
+        expansion.to_json()
 
 
 def test_notation_front_end_agrees():

@@ -6,7 +6,7 @@ Each commit is extracted with bench_pairs.extract into its own fresh
 temporary directory.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
-fixed, 11,618 runs in two parts, each in both formats:
+fixed, 11,694 runs in three parts, each in both formats:
 
   * `expansion`: 17 signatures x 16 curvatures x 5 areas x 4 mirror
     lengths x 2 formats, 10,880 runs, chosen around the edges of the float
@@ -15,7 +15,11 @@ fixed, 11,618 runs in two parts, each in both formats:
     17 signatures; `classify --class spherical|positive-zero --pair` on the
     ordered pairs of 12 notations; `classify --class pillow-negative` at
     16 c values; `scan` on all four classes at bounds 2, 20 and 60; and
-    `tables --which 1|2`.
+    `tables --which 1|2`;
+  * the flat models and negative values, 76 runs: `trace` on the 5 models
+    at 5 times from 1e-300 to 1e3, `fit` and `verify` on the 5 models, and
+    3 negative values given as a separate word, `--curvature -1/4`,
+    `--curvature -1e-3` and `--c-value -7/2`.
 
 Each argv whose (exit, stdout, stderr) differs is printed with both sides,
 and the exit status is 1 when any differ, else 0.
@@ -62,6 +66,14 @@ C_VALUES = (
 )
 SCAN_CLASSES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 SCAN_BOUNDS = (2, 20, 60)
+MODELS = ("torus", "klein", "pillowcase", "square", "mirror-torus")
+TRACE_TIMES = ("1e-300", "1e-8", "0.01", "1", "1e3")
+# A negative value as its own word, not --option=value.
+NEGATIVE_VALUES = (
+    ["expansion", "2,3,7", "--curvature", "-1/4"],
+    ["expansion", "2,3,7", "--curvature", "-1e-3"],
+    ["classify", "--class=pillow-negative", "--c-value", "-7/2"],
+)
 
 # Run in each tree: read a JSON list of argv on stdin, write a JSON list of
 # [exit, stdout, stderr] on stdout.  Building the argparse parser is most of
@@ -104,7 +116,10 @@ def argv_set() -> list:
         for bound in SCAN_BOUNDS
     ]
     topological += [["tables", f"--which={which}"] for which in (1, 2)]
-    argvs += [argv + [f"--format={fmt}"] for argv in topological for fmt in FORMATS]
+    flat = [["trace", f"--model={m}", f"--t={t}"] for m in MODELS for t in TRACE_TIMES]
+    flat += [[command, f"--model={m}"] for command in ("fit", "verify") for m in MODELS]
+    rest = topological + flat + list(NEGATIVE_VALUES)
+    argvs += [argv + [f"--format={fmt}"] for argv in rest for fmt in FORMATS]
     return argvs
 
 
