@@ -58,8 +58,8 @@ DEGREES = (
 
 _REL_TOL_GAUSS_BONNET = 1e-12
 
-# 1/pi to 64 digits, so that coefficient_one rounds its exact sum once.
-_ONE_OVER_PI = Fraction("0.3183098861837906715377675267450287240689192914809128974953346881")
+# 1/(60 pi) from 1/pi to 64 digits, so that coefficient_one rounds its exact sum once.
+_ONE_OVER_60_PI = Fraction("0.3183098861837906715377675267450287240689192914809128974953346881") / 60
 
 
 class GaussBonnetViolation(ValueError):
@@ -142,7 +142,7 @@ def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:
     float range; it never returns +-inf.
     """
     K = Fraction(metric.curvature)
-    exact = K * (K * Fraction(metric.area) * _ONE_OVER_PI / 60 + _singular_degree_one_sum(sig))
+    exact = K * (K * Fraction(metric.area) * _ONE_OVER_60_PI + _singular_degree_one_sum(sig))
     try:
         return float(exact)
     except OverflowError:
@@ -203,23 +203,21 @@ class HeatExpansion(Record):
                 raise ValueError(f"the degree {degree} coefficient is past the float range{where}")
 
     def to_text(self) -> str:
-        """The lines "deg d: value", one per degree, exact values in full.
+        """The lines "deg d: value", one per degree.
 
-        The rule of both formats: a float past the float range is refused in
-        both, an exact value only in JSON.  So this raises ValueError naming
-        the first degree whose float is past the range, and prints an exact
-        value at any size.
+        One rule for both formats: a float past the float range is refused,
+        an exact value only in JSON.  So this raises ValueError naming the
+        first degree whose float is past it, and prints exact values in full.
         """
         self._refuse_past_float_range(json=False)
         return "\n".join(f"deg {degree}: {_text(self[degree])}" for degree in DEGREES)
 
     def to_json(self) -> dict:
-        """{"deg_-1": ..., "deg_1": ...}: degree 0 exact, the rest as floats.
+        """{"deg_-1": ..., "deg_1": ...}: degree 0 exact, the others as floats.
 
-        The rule of both formats: a float past the float range is refused in
-        both, an exact value only in JSON.  JSON writes every degree but 0 as
-        a float and has no inf or nan, so this raises ValueError naming the
-        first such degree past the range, whether its value is exact or not.
+        One rule for both formats: a float past the float range is refused,
+        an exact value only in JSON.  So this raises ValueError naming the
+        first degree but 0 whose value, exact or not, is past it.
         """
         self._refuse_past_float_range(json=True)
         return {
