@@ -86,10 +86,11 @@ def _sphere(*cones) -> OrbifoldSignature:
 
 
 # Class rosters are streams of stems (handles, crosscaps, cones, boundaries,
-# last), already in normalized form.  A stem whose last is a range of orders
-# stands for the members with cones + (r,), r in last, in that order; a stem
-# whose last is None is itself one member.  The scans below key each stem
-# once and build an OrbifoldSignature only for the members they return.
+# last), already in normalized form.  A stem stands for the members with one
+# more cone of order r, r in the range last, in that order.  A cone point of
+# order 1 is an ordinary point, so a fixed member is its own stem with last
+# range(1, 2).  The scans below key each stem once and build an
+# OrbifoldSignature only for the members they return.
 
 
 # The seven one-order spherical families, in their roster order for each m.
@@ -185,19 +186,21 @@ def _stems(cls: OrbifoldClass):
         elif part is _SPHERICAL_FAMILIES:
             for m in range(2, B + 1):
                 for family in part:
-                    yield (*family(m), None)
+                    yield (*family(m), range(1, 2))
         elif part[0] <= B:
-            yield (*part[1], None)
+            yield (*part[1], range(1, 2))
+
+
+def _grown(h: int, k: int, cones: tuple, boundaries: tuple, r: int) -> tuple:
+    """A stem's member with one more cone of order r, where order 1 adds no cone."""
+    return h, k, cones if r == 1 else (*cones, r), boundaries
 
 
 def _roster(cls: OrbifoldClass):
     """Every member of the class as a (handles, crosscaps, cones, boundaries) tuple."""
     for h, k, cones, boundaries, last in _stems(cls):
-        if last is None:
-            yield h, k, cones, boundaries
-        else:
-            for r in last:
-                yield h, k, (*cones, r), boundaries
+        for r in last:
+            yield _grown(h, k, cones, boundaries, r)
 
 
 def enumerate_class(cls: OrbifoldClass) -> tuple:
@@ -213,7 +216,7 @@ def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
     """
     count = 0
     for *_, last in _stems(cls):
-        count += 1 if last is None else len(last)
+        count += len(last)
         if limit is not None and count > limit:
             return limit + 1
     return count
@@ -355,19 +358,15 @@ class CollisionPair(Record):
 
 
 def _members_at(cls: OrbifoldClass, indices):
-    """(index, member) for the given roster indices, in roster order, from one pass over the stems."""
+    """The members at the given roster indices, in roster order, from one pass over the stems."""
     pending = sorted(indices, reverse=True)  # the smallest index last
     end = 0
     stems = _stems(cls)
     while pending:
         h, k, cones, boundaries, last = next(stems)
-        start, end = end, end + (1 if last is None else len(last))
+        start, end = end, end + len(last)
         while pending and pending[-1] < end:
-            i = pending.pop()
-            if last is None:
-                yield i, (h, k, cones, boundaries)
-            else:
-                yield i, (h, k, (*cones, last[i - start]), boundaries)
+            yield _grown(h, k, cones, boundaries, last[pending.pop() - start])
 
 
 # The prime 2^29 - 3, read at call time.  A denominator of c is a product
@@ -388,14 +387,14 @@ def collision_groups(cls: OrbifoldClass) -> dict:
     the keys of one bucket and the bucket before, so its memory grows with
     the stems, not the members.  A cone of order r adds r - 2 + 1/r to its
     stem's c_s, so that member goes in bucket r + floor(c_s), and a stem
-    fills consecutive buckets, one member each; a member that is its own
-    stem goes in bucket floor(c) + 1.  Either way c - bucket lies in
-    (-2, 0), so members with equal c share a bucket or sit in adjacent
-    ones.  Members that share a key within a bucket, or with the bucket
-    before, are rebuilt from the stems and confirmed with the exact
-    c_ratio, which splits a key shared by different c; a member that is
-    its own stem keeps the c_ratio its key was made from.  Groups, and the
-    members in each, come in roster order.
+    fills consecutive buckets, one member each.  That holds at r = 1 too,
+    where the cone is an ordinary point and adds 0, so a fixed member goes
+    in bucket floor(c) + 1.  So c - bucket lies in (-2, 0), and members
+    with equal c share a bucket or sit in adjacent ones.  Members that
+    share a key within a bucket, or with the bucket before, are rebuilt
+    from the stems and confirmed with the exact c_ratio, which splits a key
+    shared by different c.  Groups, and the members in each, come in
+    roster order.
     """
     P = _MODULUS
 
@@ -408,36 +407,28 @@ def collision_groups(cls: OrbifoldClass) -> dict:
     cone = [0, 0] + [
         (residue(c_ratio(0, 0, (r,), ())) - sphere) % P for r in range(2, cls.bound + 1)
     ]
-    # A stem with a range of last orders is (residue, floor(c_s), roster
-    # index of its member minus that member's bucket), keyed by the roster
-    # index of its first member; starts and ends map a bucket to the stems
-    # that begin there and to those whose last bucket is the one before.
+    # A stem is (residue, floor(c_s), roster index of its member minus that
+    # member's bucket), keyed by the roster index of its first member; starts
+    # and ends map a bucket to the stems that begin there and to those whose
+    # last bucket is the one before.
     starts, ends = {}, {}
-    singles = {}  # bucket -> (residue, roster index) of the members that are their own stems
-    own = {}  # roster index -> (c_ratio, member) of each member that is its own stem
     i = 0
     for h, k, cones, boundaries, last in _stems(cls):
         ratio = c_ratio(h, k, cones, boundaries)
         floor = ratio[0] // ratio[1]
-        if last is None:
-            own[i] = ratio, (h, k, cones, boundaries)
-            singles.setdefault(floor + 1, []).append((residue(ratio), i))
-            i += 1
-        else:
-            first = floor + last.start
-            starts.setdefault(first, {})[i] = residue(ratio), floor, i - first
-            ends.setdefault(first + len(last), []).append(i)
-            i += len(last)
+        first = floor + last.start
+        starts.setdefault(first, {})[i] = residue(ratio), floor, i - first
+        ends.setdefault(first + len(last), []).append(i)
+        i += len(last)
     shared = set()  # roster indices of the members whose residue is not theirs alone
     active = {}  # the stems with a member in the bucket
     previous = {}  # residue -> roster index of a member with it, in the bucket before
-    for b in range(min([*starts, *singles]), max([*ends, *singles]) + 1):
+    for b in range(min(starts), max(ends) + 1):
         active.update(starts.pop(b, ()))
         for j in ends.pop(b, ()):
             del active[j]
         # (residue, roster index) of each member in bucket b
         bucket = [((r + cone[b - floor]) % P, offset + b) for r, floor, offset in active.values()]
-        bucket += singles.pop(b, ())
         keys = dict(bucket)  # each residue -> the last member with it
         if len(keys) < len(bucket):
             for key, j in bucket:
@@ -449,15 +440,9 @@ def collision_groups(cls: OrbifoldClass) -> dict:
                 shared.add(previous[key])
                 shared.add(keys[key])
         previous = keys
-    rebuilt = dict(_members_at(cls, shared.difference(own)))
     groups = {}  # exact c_ratio -> its members, first seen first
-    for i in sorted(shared):
-        if i in own:
-            ratio, member = own[i]
-        else:
-            member = rebuilt[i]
-            ratio = c_ratio(*member)
-        groups.setdefault(ratio, []).append(member)
+    for member in _members_at(cls, shared):
+        groups.setdefault(c_ratio(*member), []).append(member)
     return {
         Fraction(*key): tuple(OrbifoldSignature(*m) for m in members)
         for key, members in groups.items()

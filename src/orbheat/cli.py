@@ -3,13 +3,14 @@
 Subcommands: parse, chi, c, expansion, classify, scan, trace, fit,
 verify, tables.  Every subcommand takes --format json|text (text is the
 default).  Exit codes: 0 success, 1 parse/validation failure (message
-with position on stderr), 2 Gauss-Bonnet violation, 3 golden-table
-mismatch.
+with position on stderr) or an output pipe its reader closed (nothing on
+stderr), 2 Gauss-Bonnet violation, 3 golden-table mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -19,11 +20,11 @@ class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse takes only numbers like -5 and -.5 as option values and
-        # reads "-1/4" or "-1e-3" as an unknown option, so that the option
-        # before it lacks its value.  This matcher also takes negative
-        # fractions and exponent forms as values.
+        # reads "-1/4", "-1e-3" or "-inf" as an unknown option, so that the
+        # option before it lacks its value.  This matcher also takes negative
+        # fractions, exponent forms and the non-finite words float() reads.
         self._negative_number_matcher = re.compile(
-            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)$"
+            r"^-(\d+/\d+|(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|(?i:inf|infinity|nan))$"
         )
 
     # argparse's stock usage-error exit code is 2, which this tool reserves
@@ -337,7 +338,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # so that a closed reader shows here, not at exit
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; pointing it at
+        # devnull keeps that flush from raising once more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -554,6 +554,18 @@ class TestResidueKeyedScan:
         assert expected[Fraction(20, 3)] == (parse("3,3"), parse("3,3"))
         assert list(collision_groups(cls).items()) == list(expected.items())
 
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_every_stem_has_a_range_of_last_orders(self, kind):
+        # A fixed member is its own stem with one more cone of order 1, an
+        # ordinary point, which no member carries.
+        for bound in range(2, 31):
+            cls = OrbifoldClass(kind, bound)
+            assert all(type(stem[-1]) is range for stem in orbheat.classify._stems(cls))
+            for _, _, cones, boundaries in orbheat.classify._roster(cls):
+                assert min(cones + sum(boundaries, ()), default=2) >= 2
+            for sigs in collision_groups(cls).values():
+                assert all(min(s.cone_points + s.corner_orders, default=2) >= 2 for s in sigs)
+
     def test_memory_peak_of_a_pillow_scan(self):
         # Bytes, never times: 166,650 members, swept bucket by bucket, peak
         # under 4 MB; a dict entry per member took about 16 MB.

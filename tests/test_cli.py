@@ -597,12 +597,17 @@ class TestUsageErrors:
             (("expansion", "2,3,5", "--area", "1"), "--curvature", "-1e400"),
             (("classify", "--class", "pillow-negative"), "--c-value", "-7/2"),
             (("trace", "--model", "torus"), "--t", "-1e-3"),
+            (("expansion", "2,3,7", "--curvature", "-1/4"), "--area", "-inf"),
+            (("expansion", "2,3,7"), "--curvature", "-Infinity"),
+            (("expansion", "2,3,7", "--curvature", "1"), "--mirror-length", "-INF"),
+            (("trace", "--model", "torus"), "--t", "-nan"),
+            (("trace", "--model", "torus"), "--t", "-NaN"),
         ],
     )
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_negative_value_reads_as_its_equals_twin(self, capsys, argv, flag, value, fmt):
-        # argparse alone reads "-1/4" and "-1e-3" as options and exits 1
-        # with "expected one argument".
+        # argparse alone reads "-1/4", "-1e-3" and "-inf" as options and
+        # exits 1 with "expected one argument".
         spaced = invoke(capsys, *argv, flag, value, "--format", fmt)
         assert spaced == invoke(capsys, *argv, f"{flag}={value}", "--format", fmt)
         assert "expected one argument" not in spaced[2]
@@ -624,13 +629,18 @@ class TestUsageErrors:
         assert "--model" in out
 
 
-def run_python(*args):
-    """Run a fresh interpreter with this checkout's orbheat on its path."""
+def checkout_env():
+    """The environment with this checkout's orbheat first on the path."""
     src = str(Path(orbheat.cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this checkout's orbheat on its path."""
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, *args], capture_output=True, text=True, env=checkout_env(), timeout=60
     )
 
 
@@ -638,6 +648,20 @@ def run_python(*args):
 def test_module_entry_points(module):
     result = run_python("-m", module, "c", "2,3,5")
     assert (result.returncode, result.stdout, result.stderr) == (0, "271/30\n", "")
+
+
+def test_a_closed_output_pipe_exits_1_without_a_traceback():
+    # This scan's JSON, about 230 kB, outgrows the pipe's buffer, so the
+    # process is still writing when the reader closes its end.
+    argv = ["-m", "orbheat", "scan", "--class", "spherical", "--bound", "500", "--format", "json"]
+    with subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env()
+    ) as proc:
+        assert proc.stdout.read(10) == b'[\n  {\n    '
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")
 
 
 # The orbheat modules each subcommand loads.  Every subcommand loads the

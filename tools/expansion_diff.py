@@ -6,20 +6,22 @@ Each commit is extracted with bench_pairs.extract into its own fresh
 temporary directory.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
-fixed, 11,694 runs in three parts, each in both formats:
+fixed, 11,712 runs in three parts, each in both formats:
 
   * `expansion`: 17 signatures x 16 curvatures x 5 areas x 4 mirror
     lengths x 2 formats, 10,880 runs, chosen around the edges of the float
     range;
-  * the topological subcommands, 738 runs: `parse`, `chi` and `c` on the
+  * the topological subcommands, 746 runs: `parse`, `chi` and `c` on the
     17 signatures; `classify --class spherical|positive-zero --pair` on the
     ordered pairs of 12 notations; `classify --class pillow-negative` at
-    16 c values; `scan` on all four classes at bounds 2, 20 and 60; and
+    16 c values; `scan` on all four classes at bounds 2, 20 and 60, and at
+    the benchmark's sizes, pillows at 100 and the other three at 500; and
     `tables --which 1|2`;
-  * the flat models and negative values, 76 runs: `trace` on the 5 models
+  * the flat models and negative values, 86 runs: `trace` on the 5 models
     at 5 times from 1e-300 to 1e3, `fit` and `verify` on the 5 models, and
-    3 negative values given as a separate word, `--curvature -1/4`,
-    `--curvature -1e-3` and `--c-value -7/2`.
+    8 negative values given as a separate word: `--curvature -1/4`,
+    `--curvature -1e-3`, five non-finite words such as `--area -inf` and
+    `--t -nan`, and `--c-value -7/2`.
 
 Each argv whose (exit, stdout, stderr) differs is printed with both sides,
 and the exit status is 1 when any differ, else 0.
@@ -66,12 +68,19 @@ C_VALUES = (
 )
 SCAN_CLASSES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 SCAN_BOUNDS = (2, 20, 60)
+# The rosters of the benchmark's scan workload.
+BENCH_SCANS = (("teardrops-footballs", 500), ("pillows", 100), ("class-c", 500), ("spherical", 500))
 MODELS = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 TRACE_TIMES = ("1e-300", "1e-8", "0.01", "1", "1e3")
 # A negative value as its own word, not --option=value.
 NEGATIVE_VALUES = (
     ["expansion", "2,3,7", "--curvature", "-1/4"],
     ["expansion", "2,3,7", "--curvature", "-1e-3"],
+    ["expansion", "2,3,7", "--curvature", "-1/4", "--area", "-inf"],
+    ["expansion", "2,3,7", "--curvature", "-Infinity"],
+    ["expansion", "2,3,7", "--curvature=1", "--mirror-length", "-INF"],
+    ["trace", "--model=torus", "--t", "-nan"],
+    ["trace", "--model=torus", "--t", "-NaN"],
     ["classify", "--class=pillow-negative", "--c-value", "-7/2"],
 )
 
@@ -115,6 +124,7 @@ def argv_set() -> list:
         for name in SCAN_CLASSES
         for bound in SCAN_BOUNDS
     ]
+    topological += [["scan", f"--class={name}", f"--bound={bound}"] for name, bound in BENCH_SCANS]
     topological += [["tables", f"--which={which}"] for which in (1, 2)]
     flat = [["trace", f"--model={m}", f"--t={t}"] for m in MODELS for t in TRACE_TIMES]
     flat += [[command, f"--model={m}"] for command in ("fit", "verify") for m in MODELS]
