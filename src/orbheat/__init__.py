@@ -59,7 +59,6 @@ _EXPORTS = {
         "coefficient_minus_half",
         "coefficient_minus_one",
         "coefficient_one",
-        "degree_zero_term",
         "full_expansion",
         "has_half_integer_terms",
     ),
@@ -69,6 +68,7 @@ _EXPORTS = {
         "OrbifoldSignature",
         "SignatureError",
         "c_ratio",
+        "degree_zero_term",
         "euler_characteristic",
         "geometry_type",
         "is_bad",

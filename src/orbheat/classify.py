@@ -58,7 +58,7 @@ class OrbifoldClass(Record):
 
     __slots__ = ("kind", "bound")
 
-    def __init__(self, kind: ClassKind, bound: int = 500):
+    def __init__(self, kind: ClassKind, bound: int):
         if not isinstance(kind, ClassKind):
             raise ValueError(f"kind must be a ClassKind, got {kind!r}")
         if not isinstance(bound, int) or isinstance(bound, bool):
@@ -617,6 +617,13 @@ def positive_vs_zero_chi(a: OrbifoldSignature, b: OrbifoldSignature) -> Verdict:
     except for the handful of cross-sign c-collisions, all of which pit a
     mirrorless orbifold against a mirrored one and fall to the degree -1/2
     test.
+
+    Bad orbifolds (teardrops, unequal footballs and their mirrored disks)
+    are answered too, although they carry no constant-curvature metric,
+    because neither invariant needs one: c = 12 c[0] is topological, by
+    the orbifold Gauss-Bonnet theorem, and mirror presence is the sign of
+    c[-1/2] = L / (8 sqrt(pi)), positive for every metric exactly when
+    there are mirrors.  So the verdict holds for every Riemannian metric.
     """
     for sig in (a, b):
         if euler_characteristic(sig) < 0:

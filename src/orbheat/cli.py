@@ -45,9 +45,9 @@ def _fraction(text: str) -> Fraction:
 
 # Each subcommand imports the orbheat modules it calls inside its _cmd_*
 # function, so a run loads only those: `c` loads notation and signature,
-# `expansion` adds heat, and only trace, fit and verify load flat.  For the
-# same reason the values of flat.FlatModel and classify.ClassKind are
-# written out here, in order.
+# only expansion and verify load heat, and only trace, fit and verify load
+# flat.  For the same reason the values of flat.FlatModel and
+# classify.ClassKind are written out here, in order.
 _MODEL_NAMES = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 _CLASS_NAMES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")

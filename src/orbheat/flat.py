@@ -33,6 +33,11 @@ over the deck group of character sums on the lattice eigenbasis, with
 exact +-1 phases.  The two routes agreeing at several times is the main
 numerical check that the expansion coefficients are wired to a genuine
 spectrum.
+
+fit_expansion recovers the coefficients from trace samples, and
+verify_model compares them with predicted_expansion, the one function
+here that needs heat's formulas: it imports heat when it runs, so a
+process that only samples or fits traces never loads heat.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from fractions import Fraction
 from functools import cache
 
 from ._record import Record
-from .heat import HeatExpansion, MetricData, full_expansion
 from .signature import OrbifoldSignature
 
 
@@ -54,7 +58,7 @@ class InsufficientSamples(ValueError):
 
 
 class IllConditioned(ArithmeticError):
-    """Fit design matrix condition number exceeds the configured limit."""
+    """Fit design matrix condition number exceeds FIT_CONDITION_LIMIT."""
 
 
 class FlatModel(Enum):
@@ -309,7 +313,12 @@ class FitResult(Record):
     __hash__ = None
 
 
-def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12) -> FitResult:
+# Largest design-matrix condition number fit_expansion solves for; fixed,
+# not an option.
+FIT_CONDITION_LIMIT = 1e12
+
+
+def fit_expansion(samples: TraceSamples, degrees) -> FitResult:
     """Fit sum_d c_d t^d to the samples by least squares.
 
     One one-sided Jacobi on the columns of the t^d design matrix, never the
@@ -319,7 +328,7 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
     exact least-squares solution of the sampled data.
     Raises InsufficientSamples when there are fewer points than degrees and,
     before solving, IllConditioned when the condition exceeds
-    condition_limit or the design matrix is singular.
+    FIT_CONDITION_LIMIT or the design matrix is singular.
     """
     degs = tuple(d if type(d) is Fraction else Fraction(d) for d in degrees)
     exponents = tuple(map(float, degs))
@@ -340,9 +349,9 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
     columns = [[t**e for t in times] for e in exponents]
     w, v, scale, norms = jacobi(columns)
     condition = condition_number(norms)
-    if not math.isfinite(condition) or condition > condition_limit:
+    if not math.isfinite(condition) or condition > FIT_CONDITION_LIMIT:
         raise IllConditioned(
-            f"design matrix condition {condition:.3e} exceeds limit {condition_limit:.3e}"
+            f"design matrix condition {condition:.3e} exceeds limit {FIT_CONDITION_LIMIT:.3e}"
         )
     solution, residual = solve(w, v, scale, norms, columns, values)
     return FitResult(
@@ -350,8 +359,11 @@ def fit_expansion(samples: TraceSamples, degrees, condition_limit: float = 1e12)
     )
 
 
-def predicted_expansion(model: FlatModel) -> HeatExpansion:
-    """The coefficients the heat-invariant formulas predict for the model."""
+def predicted_expansion(model: FlatModel):
+    """The heat.HeatExpansion that the heat-invariant formulas predict for the model."""
+    # Imported here, so that a process that predicts nothing never loads heat.
+    from .heat import MetricData, full_expansion
+
     metric = MetricData(
         curvature=0,
         area=float(model.area),

@@ -23,8 +23,10 @@ The singular-point contributions come from averaging the rotation kernel
 over the local isotropy group: a cone of order m adds (1/m) times the
 cosecant sums sum_j csc^2(pi j/m) / 4 at degree 0 and K sum_j csc^4(pi j/m) / 8
 at degree 1, and a corner adds half of what a cone of its order adds.
-Their closed forms and c live in signature beside stratum_ratio, the walk
-over the strata; this module holds what depends on the metric (K, V, L).
+Their closed forms, c and the degree-0 coefficient c/12 (degree_zero_term,
+which full_expansion reads from there) live in signature beside
+stratum_ratio, the walk over the strata; this module holds what depends
+on the metric (K, V, L).
 HeatExpansion.to_text and to_json render an expansion, and they alone
 decide which of its coefficients is past the float range.
 """
@@ -42,6 +44,7 @@ from .signature import (  # c_ratio and spectral_c stay importable from here
     _singular_degree_one_sum,
     _text,
     c_ratio,
+    degree_zero_term,
     euler_characteristic,
     rational_from_json,
     rational_to_json,
@@ -105,11 +108,6 @@ class MetricData(Record):
         object.__setattr__(self, "curvature", curvature)
         object.__setattr__(self, "area", area)
         object.__setattr__(self, "mirror_length", mirror_length)
-
-
-def degree_zero_term(sig: OrbifoldSignature) -> Fraction:
-    """Exact degree-0 heat coefficient; purely topological."""
-    return spectral_c(sig) / 12
 
 
 def coefficient_minus_one(metric: MetricData) -> float:

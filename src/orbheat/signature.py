@@ -12,7 +12,8 @@ mirror boundary component costs 1, a cone point of order m costs (m-1)/m,
 and a corner reflector of order n costs (n-1)/(2n); chi is 2 minus the
 total.  chi, the spectral constant c and the degree-1 cone/corner sum are
 each one exact call of stratum_ratio, the one walk over the strata, with
-its weight beside it.  All three are topological; heat holds the metric.
+its weight beside it.  All three are topological, and so is the degree-0
+heat coefficient c/12 (degree_zero_term); heat holds the metric.
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def c_ratio(handles: int, crosscaps: int, cones, boundaries) -> tuple:
 def spectral_c(sig: OrbifoldSignature) -> Fraction:
     """The integer-normalized spectral constant c = 12 * degree-0 coefficient."""
     return Fraction(*c_ratio(sig.handles, sig.crosscaps, sig.cone_points, sig.mirror_boundaries))
+
+
+def degree_zero_term(sig: OrbifoldSignature) -> Fraction:
+    """Exact degree-0 heat coefficient c/12; purely topological."""
+    return spectral_c(sig) / 12
 
 
 def _degree_one_weight(m: int) -> int:

@@ -10,16 +10,21 @@ Two reference tables are embedded as exact rationals, transcribed once:
 
 verify_table1 / verify_table2 recompute every entry from the signature
 machinery and report mismatches; an empty report is the reproduction
-check the CLI's `tables` subcommand exposes.
+check the CLI's `tables` subcommand exposes.  Every entry is topological,
+so this module needs notation and signature only, never heat.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .heat import degree_zero_term, spectral_c
 from .notation import parse
-from .signature import euler_characteristic
+from .signature import degree_zero_term, euler_characteristic, spectral_c
+
+
+# Largest order at which verify_table1 and verify_table2 instantiate the
+# parameterized rows; fixed, not an option.
+MAX_ORDER = 12
 
 
 def _q(num, den=1) -> Fraction:
@@ -101,19 +106,19 @@ def _mismatch(table, notation, column, expected, computed) -> dict:
     }
 
 
-def verify_table1(max_order: int = 12) -> list:
+def verify_table1() -> list:
     """Recompute every Table 1 entry; returns a list of mismatch records.
 
-    Parameterized rows are instantiated for all orders up to max_order.
+    Parameterized rows are instantiated for all orders up to MAX_ORDER.
     """
     rows = list(TABLE1_FIXED)
-    orders = range(2, max_order + 1)
+    orders = range(2, MAX_ORDER + 1)
     for template, formula in TABLE1_FAMILIES:
         if "{n}" in template:
             rows.extend(
                 (template.format(m=m, n=n), formula(m, n))
                 for m in orders
-                for n in range(m, max_order + 1)
+                for n in range(m, MAX_ORDER + 1)
             )
         else:
             rows.extend((template.format(m=m), formula(m)) for m in orders)
@@ -125,14 +130,14 @@ def verify_table1(max_order: int = 12) -> list:
     return report
 
 
-def verify_table2(max_order: int = 12) -> list:
+def verify_table2() -> list:
     """Recompute every Table 2 (chi, c) entry; returns mismatch records."""
     report = []
     rows = [(n, chi, c) for n, chi, c in TABLE2_FIXED]
     template, chi_formula, c_formula = TABLE2_FAMILY
     rows.extend(
         (template.format(m=m), chi_formula(m), c_formula(m))
-        for m in range(2, max_order + 1)
+        for m in range(2, MAX_ORDER + 1)
     )
     for notation, chi_expected, c_expected in rows:
         sig = parse(notation)

@@ -152,8 +152,10 @@ class TestOrbifoldClass:
             with pytest.raises(ValueError):
                 OrbifoldClass(ClassKind.TRIANGULAR_PILLOWS, bad)
 
-    def test_default_bound(self):
-        assert OrbifoldClass(ClassKind.TRIANGULAR_PILLOWS).bound == 500
+    def test_bound_has_no_default(self):
+        # The scan command's --bound default is the one home of 500.
+        with pytest.raises(TypeError):
+            OrbifoldClass(ClassKind.TRIANGULAR_PILLOWS)
 
     @pytest.mark.parametrize("kind", ["pillows", None, 1, ClassKind])
     def test_kind_must_be_a_class_kind(self, kind):

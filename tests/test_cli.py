@@ -670,7 +670,7 @@ _BASE = {"orbheat", "orbheat.cli", "orbheat._record", "orbheat.signature"}
 _NOTATION = _BASE | {"orbheat.notation"}
 _HEAT = _NOTATION | {"orbheat.heat"}
 _CLASSIFY = _NOTATION | {"orbheat.classify"}
-_FLAT = _BASE | {"orbheat.heat", "orbheat.flat"}
+_FLAT = _BASE | {"orbheat.flat"}
 _FIT = _FLAT | {"orbheat._lstsq"}
 FOOTPRINTS = [
     (["parse", "2,3,5"], _NOTATION),
@@ -685,8 +685,8 @@ FOOTPRINTS = [
     (["scan", "--class", "pillows", "--bound", "5"], _CLASSIFY),
     (["trace", "--model", "klein", "--t", "0.1"], _FLAT),
     (["fit", "--model", "torus"], _FIT),
-    (["verify", "--model", "torus"], _FIT),
-    (["tables", "--which", "1"], _HEAT | {"orbheat.tables"}),
+    (["verify", "--model", "torus"], _FIT | {"orbheat.heat"}),
+    (["tables", "--which", "1"], _NOTATION | {"orbheat.tables"}),
     (["trace", "--model", "bogus", "--t", "0.1"], {"orbheat", "orbheat.cli"}),
     (["scan", "--class", "bogus"], {"orbheat", "orbheat.cli"}),
 ]

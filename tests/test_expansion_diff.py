@@ -14,18 +14,26 @@ import expansion_diff  # noqa: E402
 
 
 def test_argv_set_is_the_documented_product():
-    argvs = expansion_diff.argv_set()
-    topological = 3 * 17 + 2 * 12 * 12 + 16 + 4 * 3 + 4 + 2
-    flat_and_negative = 5 * 5 + 2 * 5 + 8
-    assert len(argvs) == 17 * 16 * 5 * 4 * 2 + (topological + flat_and_negative) * 2 == 11_712
-    assert len({tuple(argv) for argv in argvs}) == len(argvs)
+    groups = expansion_diff.argv_set()
+    sizes = {
+        "expansion": 17 * 16 * 5 * 4 * 2,
+        "topological": (3 * 17 + 2 * 12 * 12 + 16 + 4 * 3 + 4 + 2) * 2,
+        "flat models": (5 * 5 + 2 * 5) * 2,
+        "negative values": 8 * 2,
+    }
+    assert {name: len(argvs) for name, argvs in groups.items()} == sizes
+    assert list(groups) == list(sizes)  # the run order: expansion first
+    assert list(sizes.values()) == [10_880, 746, 70, 16]
+    argvs = [tuple(argv) for group in groups.values() for argv in group]
+    assert len(set(argvs)) == len(argvs) == 11_712
+    assert {argv[0] for argv in groups["expansion"]} == {"expansion"}
     assert ["expansion", "*2,3,5", "--curvature=1e300", "--format=json",
-            "--mirror-length=1e10"] in argvs
+            "--mirror-length=1e10"] in groups["expansion"]
 
 
 def test_argv_set_covers_the_topological_subcommands():
-    argvs = expansion_diff.argv_set()
-    commands = {argv[0] for argv in argvs[10_880:11_626]}
+    argvs = expansion_diff.argv_set()["topological"]
+    commands = {argv[0] for argv in argvs}
     assert commands == {"parse", "chi", "c", "classify", "scan", "tables"}
     assert ["classify", "--class=positive-zero", "--pair", "3*", "*3,3", "--format=json"] in argvs
     assert ["scan", "--class=pillows", "--bound=60", "--format=text"] in argvs
@@ -34,12 +42,15 @@ def test_argv_set_covers_the_topological_subcommands():
 
 
 def test_argv_set_covers_the_flat_models_and_negative_values():
-    argvs = expansion_diff.argv_set()
-    assert {argv[0] for argv in argvs[11_626:]} == {"trace", "fit", "verify", "expansion", "classify"}
-    assert ["trace", "--model=klein", "--t=1e-300", "--format=json"] in argvs
-    assert ["verify", "--model=mirror-torus", "--format=text"] in argvs
-    assert ["trace", "--model=torus", "--t", "-nan", "--format=json"] in argvs
-    assert argvs[-2:] == [
+    groups = expansion_diff.argv_set()
+    flat, negative = groups["flat models"], groups["negative values"]
+    assert {argv[0] for argv in flat} == {"trace", "fit", "verify"}
+    assert {argv[0] for argv in negative} == {"expansion", "trace", "classify"}
+    assert ["trace", "--model=klein", "--t=1e-300", "--format=json"] in flat
+    assert ["verify", "--model=mirror-torus", "--format=text"] in flat
+    assert ["trace", "--model=torus", "--t", "-nan", "--format=json"] in negative
+    assert list(groups)[-1] == "negative values"
+    assert negative[-2:] == [
         ["classify", "--class=pillow-negative", "--c-value", "-7/2", f"--format={fmt}"]
         for fmt in ("text", "json")
     ]
@@ -61,7 +72,9 @@ def test_a_tree_against_itself_differs_nowhere(monkeypatch, capsys):
 
 
 def test_a_differing_run_is_printed_with_both_sides(monkeypatch, capsys):
-    monkeypatch.setattr(expansion_diff, "argv_set", lambda: [["c", "2,3,5"], ["chi", "2,3,5"]])
+    monkeypatch.setattr(
+        expansion_diff, "argv_set", lambda: {"topological": [["c", "2,3,5"], ["chi", "2,3,5"]]}
+    )
     monkeypatch.setattr(expansion_diff, "extract", lambda rev, into: into.mkdir())
     monkeypatch.setattr(expansion_diff, "start", lambda tree, argvs: contextlib.nullcontext(tree.name))
     outputs = {
@@ -71,7 +84,7 @@ def test_a_differing_run_is_printed_with_both_sides(monkeypatch, capsys):
     monkeypatch.setattr(expansion_diff, "results", outputs.get)
     assert expansion_diff.main(["--parent", "p", "--change", "c"]) == 1
     assert capsys.readouterr().out == (
-        "orbheat 'chi' '2,3,5'\n"
+        "[topological] orbheat 'chi' '2,3,5'\n"
         "  parent: (0, '1/30\\n', '')\n"
         "  change: (1, '', 'error: x\\n')\n"
         "1 of 2 argv differ\n"

@@ -349,12 +349,12 @@ def test_fit_validation():
         fit_expansion(samples, ())
 
 
-def test_fit_condition_guard():
+def test_fit_condition_guard(monkeypatch):
     samples = sample_trace(FlatModel.TORUS)
-    with pytest.raises(IllConditioned):
-        fit_expansion(
-            samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)), condition_limit=100.0
-        )
+    with monkeypatch.context() as patch:
+        patch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", 100.0)
+        with pytest.raises(IllConditioned):
+            fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
     fit = fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
     assert fit.condition < 1e5
 
@@ -426,7 +426,7 @@ def test_fit_matches_oracle_on_synthetic_samples():
     assert_fit_matches_oracle(samples, degrees)
 
 
-def test_fit_without_refinement_past_the_refinement_range():
+def test_fit_without_refinement_past_the_refinement_range(monkeypatch):
     # Samples near 1e200 lie past the range where the refinement's split
     # products stay finite, so the fit stops at the Jacobi solution.
     # Squared, these entries would overflow, and the scaled t^0 column's
@@ -435,7 +435,8 @@ def test_fit_without_refinement_past_the_refinement_range():
     ts = geometric_grid(1e-200, 1e-202, 12)
     samples = TraceSamples(tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts))
     assert min(samples.values) > _lstsq._REFINE_BELOW
-    fit = fit_expansion(samples, FIT_DEGREES, condition_limit=math.inf)
+    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
+    fit = fit_expansion(samples, FIT_DEGREES)
     reference, condition = oracle_fit(samples, FIT_DEGREES)
     assert abs(fit.condition - condition) <= 1e-12 * condition
     assert fit.coefficients[Fraction(-1)] == pytest.approx(float(reference[0]), rel=1e-12)
@@ -538,23 +539,27 @@ def test_fit_insufficient_samples_boundary():
 def test_fit_condition_limit_boundary_is_checked_before_solving(monkeypatch):
     samples = sample_trace(FlatModel.TORUS)
     condition = fit_expansion(samples, FIT_DEGREES).condition
-    assert fit_expansion(samples, FIT_DEGREES, condition_limit=condition).condition == condition
+    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", condition)
+    assert fit_expansion(samples, FIT_DEGREES).condition == condition
 
     def no_solve(*args):
         raise AssertionError("solved an ill-conditioned design")
 
     # Every solve, in _lstsq.solve or not, goes through _pseudo_solve.
     monkeypatch.setattr(_lstsq, "_pseudo_solve", no_solve)
+    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.nextafter(condition, 0.0))
     with pytest.raises(IllConditioned):
-        fit_expansion(samples, FIT_DEGREES, condition_limit=math.nextafter(condition, 0.0))
+        fit_expansion(samples, FIT_DEGREES)
 
 
-def test_fit_rank_deficient_designs_are_ill_conditioned():
+def test_fit_rank_deficient_designs_are_ill_conditioned(monkeypatch):
     ts = geometric_grid(1e-1, 1e-3, 12)
     samples = TraceSamples(tuple((t, 1.0 / t) for t in ts))
     # t^400 underflows to a zero column: sigma_min is 0, an infinite condition.
-    with pytest.raises(IllConditioned, match="condition inf"):
-        fit_expansion(samples, (Fraction(-1), Fraction(400)), condition_limit=math.inf)
+    with monkeypatch.context() as patch:
+        patch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
+        with pytest.raises(IllConditioned, match="condition inf"):
+            fit_expansion(samples, (Fraction(-1), Fraction(400)))
     # t^(1e-30) rounds to 1.0: two equal columns.
     with pytest.raises(IllConditioned):
         fit_expansion(samples, (Fraction(0), Fraction(1, 10**30)))

@@ -20,6 +20,8 @@ from orbheat.signature import (
     signature_to_json,
 )
 
+from test_cli import run_python
+
 
 def sig(handles=0, crosscaps=0, cones=(), boundaries=()):
     return OrbifoldSignature(
@@ -340,3 +342,20 @@ def test_heat_binds_the_same_c_ratio_and_spectral_c():
 
     assert orbheat.heat.c_ratio is orbheat.signature.c_ratio
     assert orbheat.heat.spectral_c is orbheat.signature.spectral_c
+
+
+def test_degree_zero_term_lives_in_signature():
+    # heat binds the same object, and the package resolves it without heat.
+    import orbheat.heat
+    import orbheat.signature
+
+    assert orbheat.heat.degree_zero_term is orbheat.signature.degree_zero_term
+    code = (
+        "import sys, orbheat; orbheat.degree_zero_term; "
+        "print(*sorted(m for m in sys.modules if m.startswith('orbheat')))"
+    )
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (
+        0,
+        "orbheat orbheat._record orbheat.signature\n",
+    ), result.stderr

@@ -36,14 +36,16 @@ class TestReproduction:
     def test_table1_clean(self):
         assert verify_table1() == []
 
-    def test_table1_clean_at_higher_order(self):
-        assert verify_table1(max_order=40) == []
+    def test_table1_clean_at_higher_order(self, monkeypatch):
+        monkeypatch.setattr(orbheat.tables, "MAX_ORDER", 40)
+        assert verify_table1() == []
 
     def test_table2_clean(self):
         assert verify_table2() == []
 
-    def test_table2_clean_at_higher_order(self):
-        assert verify_table2(max_order=200) == []
+    def test_table2_clean_at_higher_order(self, monkeypatch):
+        monkeypatch.setattr(orbheat.tables, "MAX_ORDER", 200)
+        assert verify_table2() == []
 
 
 class TestTableOneContent:
@@ -187,7 +189,8 @@ class TestMismatchReporting:
             for template, formula in TABLE1_FAMILIES
         )
         monkeypatch.setattr(orbheat.tables, "TABLE1_FAMILIES", families)
-        report = verify_table1(max_order=3)
+        monkeypatch.setattr(orbheat.tables, "MAX_ORDER", 3)
+        report = verify_table1()
         assert [r["notation"] for r in report] == ["2,3,5", "2", "3", "2,2", "2,3", "3,3"]
         assert {r["expected"] for r in report[1:]} == {"0"}
 

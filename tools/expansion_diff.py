@@ -6,25 +6,26 @@ Each commit is extracted with bench_pairs.extract into its own fresh
 temporary directory.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
-fixed, 11,712 runs in three parts, each in both formats:
+fixed, 11,712 runs in four named groups, in this order, each in both
+formats:
 
-  * `expansion`: 17 signatures x 16 curvatures x 5 areas x 4 mirror
+  * "expansion": 17 signatures x 16 curvatures x 5 areas x 4 mirror
     lengths x 2 formats, 10,880 runs, chosen around the edges of the float
     range;
-  * the topological subcommands, 746 runs: `parse`, `chi` and `c` on the
-    17 signatures; `classify --class spherical|positive-zero --pair` on the
-    ordered pairs of 12 notations; `classify --class pillow-negative` at
-    16 c values; `scan` on all four classes at bounds 2, 20 and 60, and at
-    the benchmark's sizes, pillows at 100 and the other three at 500; and
+  * "topological", 746 runs: `parse`, `chi` and `c` on the 17 signatures;
+    `classify --class spherical|positive-zero --pair` on the ordered pairs
+    of 12 notations; `classify --class pillow-negative` at 16 c values;
+    `scan` on all four classes at bounds 2, 20 and 60, and at the
+    benchmark's sizes, pillows at 100 and the other three at 500; and
     `tables --which 1|2`;
-  * the flat models and negative values, 86 runs: `trace` on the 5 models
-    at 5 times from 1e-300 to 1e3, `fit` and `verify` on the 5 models, and
-    8 negative values given as a separate word: `--curvature -1/4`,
-    `--curvature -1e-3`, five non-finite words such as `--area -inf` and
-    `--t -nan`, and `--c-value -7/2`.
+  * "flat models", 70 runs: `trace` on the 5 models at 5 times from
+    1e-300 to 1e3, and `fit` and `verify` on the 5 models;
+  * "negative values", 16 runs: 8 negative values given as a separate
+    word: `--curvature -1/4`, `--curvature -1e-3`, five non-finite words
+    such as `--area -inf` and `--t -nan`, and `--c-value -7/2`.
 
-Each argv whose (exit, stdout, stderr) differs is printed with both sides,
-and the exit status is 1 when any differ, else 0.
+Each argv whose (exit, stdout, stderr) differs is printed with its group
+and both sides, and the exit status is 1 when any differ, else 0.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ json.dump(results, sys.stdout)
 """
 
 
-def argv_set() -> list:
-    """Every argv of the differential, in a fixed order: expansion first."""
-    argvs = []
+def argv_set() -> dict:
+    """Every argv of the differential, by group, in a fixed order: expansion first."""
+    expansion = []
     for sig, K, area, length, fmt in itertools.product(
         SIGNATURES, CURVATURES, AREAS, MIRROR_LENGTHS, FORMATS
     ):
@@ -111,7 +112,7 @@ def argv_set() -> list:
         argv = ["expansion", sig, f"--curvature={K}", f"--format={fmt}"]
         argv += [f"--area={area}"] * (area is not None)
         argv += [f"--mirror-length={length}"] * (length is not None)
-        argvs.append(argv)
+        expansion.append(argv)
     topological = [[command, sig] for command in ("parse", "chi", "c") for sig in SIGNATURES]
     topological += [
         ["classify", f"--class={name}", "--pair", a, b]
@@ -128,9 +129,11 @@ def argv_set() -> list:
     topological += [["tables", f"--which={which}"] for which in (1, 2)]
     flat = [["trace", f"--model={m}", f"--t={t}"] for m in MODELS for t in TRACE_TIMES]
     flat += [[command, f"--model={m}"] for command in ("fit", "verify") for m in MODELS]
-    rest = topological + flat + list(NEGATIVE_VALUES)
-    argvs += [argv + [f"--format={fmt}"] for argv in rest for fmt in FORMATS]
-    return argvs
+    groups = {"topological": topological, "flat models": flat, "negative values": NEGATIVE_VALUES}
+    return {"expansion": expansion} | {
+        name: [argv + [f"--format={fmt}"] for argv in argvs for fmt in FORMATS]
+        for name, argvs in groups.items()
+    }
 
 
 def start(tree: Path, argvs: list) -> subprocess.Popen:
@@ -159,7 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True)
     args = parser.parse_args(argv)
 
-    argvs = argv_set()
+    named = [(group, argv) for group, argvs in argv_set().items() for argv in argvs]
+    argvs = [argv for _, argv in named]
     work = Path(tempfile.mkdtemp(prefix="expansion-diff-"))
     try:
         sides = {"parent": work / "parent", "change": work / "change"}
@@ -171,10 +175,10 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(work)
     differing = 0
-    for run_argv, parent, change in zip(argvs, outputs["parent"], outputs["change"]):
+    for (group, run_argv), parent, change in zip(named, outputs["parent"], outputs["change"]):
         if parent != change:
             differing += 1
-            print(" ".join(["orbheat", *map(repr, run_argv)]))
+            print(f"[{group}] orbheat", *map(repr, run_argv))
             print(f"  parent: {parent!r}")
             print(f"  change: {change!r}")
     print(f"{differing} of {len(argvs)} argv differ")
