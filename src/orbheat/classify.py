@@ -208,17 +208,33 @@ def enumerate_class(cls: OrbifoldClass) -> tuple:
     return tuple(OrbifoldSignature(*member) for member in _roster(cls))
 
 
-def roster_size(cls: OrbifoldClass, limit: int | None = None) -> int:
+# Largest roster roster_size, and so `orbheat scan`, accepts.  The bucket
+# sweep keeps a scan's memory small at any bound (about 20 MB RSS at this
+# limit), so what this caps is run time: about a second at the limit,
+# growing with the members.
+SCAN_MEMBER_LIMIT = 1_000_000
+# Largest number of first orders the three-cone search tries for one h.  The
+# range (1/h, min(3/h, S/3)] grows with the denominator of c, so an uncapped
+# c would run for days; at this cap a search takes under a second.
+# flat.MULTIPLICITY_SHELL_LIMIT caps the flat-model multiplicity oracle the
+# same way; these three limits are fixed, not options.
+PILLOW_ORDER_LIMIT = 1_000_000
+
+
+def roster_size(cls: OrbifoldClass) -> int:
     """Number of members of the class, counted from its stems.
 
-    With a limit, counting stops once it passes limit and returns limit + 1,
-    so a result above limit only says the roster is larger than limit.
+    Raises ValueError, as soon as the count passes it, when the class has
+    more than SCAN_MEMBER_LIMIT members.
     """
     count = 0
     for *_, last in _stems(cls):
         count += len(last)
-        if limit is not None and count > limit:
-            return limit + 1
+        if count > SCAN_MEMBER_LIMIT:
+            raise ValueError(
+                f"class {cls.kind.value} at bound {cls.bound} has more than "
+                f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
+            )
     return count
 
 
@@ -235,12 +251,6 @@ def _order_pair(total: int, num: int, den: int):
     if root * root != disc or (total - root) % 2:
         return None
     return (total - root) // 2, (total + root) // 2
-
-
-# Largest number of first orders the three-cone search tries for one h.  The
-# range (1/h, min(3/h, S/3)] grows with the denominator of c, so an uncapped
-# c would run for days; at this cap a search takes under a second.
-PILLOW_ORDER_LIMIT = 1_000_000
 
 
 def _cone_orders(c: Fraction, k: int, bound: int | None = None, hyperbolic: bool = True):
@@ -472,8 +482,8 @@ class PillowSeparation(Record):
     def __init__(
         self,
         distinguished: bool,
-        negative_member: OrbifoldSignature | None = None,
-        positive_member: OrbifoldSignature | None = None,
+        negative_member: OrbifoldSignature | None,
+        positive_member: OrbifoldSignature | None,
     ):
         object.__setattr__(self, "distinguished", distinguished)
         object.__setattr__(self, "negative_member", negative_member)
@@ -506,8 +516,8 @@ def pillow_negative_vs_rest(c_value) -> PillowSeparation:
     return PillowSeparation(negative is None or positive is None, negative, positive)
 
 
-def curvature_sign(expansion: HeatExpansion, abs_K, sig: OrbifoldSignature) -> CurvatureSign:
-    """Recover the sign of the constant curvature +-abs_K from an expansion.
+def curvature_sign(expansion, abs_K, sig: OrbifoldSignature) -> CurvatureSign:
+    """Recover the sign of the constant curvature +-abs_K from a heat.HeatExpansion.
 
     The degree -1 coefficient recovers the area; subtracting the smooth
     degree-1 part abs_K^2 * area / (60 pi) leaves K times a positive

@@ -52,15 +52,6 @@ _MODEL_NAMES = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 _CLASS_NAMES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 _PAIR_CLASSIFIERS = ("spherical", "positive-zero", "pillow-negative")
 
-# Largest roster `scan` accepts.  The bucket sweep keeps a scan's memory
-# small at any bound (about 20 MB RSS at this limit), so what this caps is
-# run time: about a second at the limit, growing with the members.
-# The exact three-cone search behind `classify --class pillow-negative` and
-# classify.c_preimage is capped the same way, by classify.PILLOW_ORDER_LIMIT,
-# and the flat-model multiplicity oracle by flat.MULTIPLICITY_SHELL_LIMIT;
-# these three limits are fixed, not options.
-SCAN_MEMBER_LIMIT = 1_000_000
-
 
 def build_parser() -> argparse.ArgumentParser:
     shared = _ArgumentParser(add_help=False)
@@ -222,12 +213,7 @@ def _cmd_scan(args) -> int:
     from .notation import render
 
     cls = OrbifoldClass(ClassKind(args.class_name), args.bound)
-    members = roster_size(cls, SCAN_MEMBER_LIMIT)
-    if members > SCAN_MEMBER_LIMIT:
-        raise ValueError(
-            f"class {cls.kind.value} at bound {cls.bound} has more than "
-            f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
-        )
+    members = roster_size(cls)
     pairs = injectivity_scan(cls)
     # Either format renders every signature, so only the requested one is built.
     if args.format == "json":
@@ -258,10 +244,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    from .flat import FIT_DEGREES, FlatModel, degree_label, fit_expansion, sample_trace
+    from .flat import FlatModel, degree_label, fit_expansion, sample_trace
 
     model = FlatModel(args.model)
-    fit = fit_expansion(sample_trace(model), FIT_DEGREES)
+    fit = fit_expansion(sample_trace(model))
     payload = {
         "model": model.value,
         "coefficients": {

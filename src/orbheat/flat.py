@@ -313,13 +313,15 @@ class FitResult(Record):
     __hash__ = None
 
 
+# The degrees that fit and verify solve for; no caller chooses others.
+FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
 # Largest design-matrix condition number fit_expansion solves for; fixed,
 # not an option.
 FIT_CONDITION_LIMIT = 1e12
 
 
-def fit_expansion(samples: TraceSamples, degrees) -> FitResult:
-    """Fit sum_d c_d t^d to the samples by least squares.
+def fit_expansion(samples: TraceSamples) -> FitResult:
+    """Fit sum_d c_d t^d, d in FIT_DEGREES, to the samples by least squares.
 
     One one-sided Jacobi on the columns of the t^d design matrix, never the
     normal equations, gives its singular values, hence the condition
@@ -330,23 +332,15 @@ def fit_expansion(samples: TraceSamples, degrees) -> FitResult:
     before solving, IllConditioned when the condition exceeds
     FIT_CONDITION_LIMIT or the design matrix is singular.
     """
-    degs = tuple(d if type(d) is Fraction else Fraction(d) for d in degrees)
-    exponents = tuple(map(float, degs))
-    # Distinct floats mean distinct degrees, so the degrees are hashed here
-    # only where two floats collide; the coefficient dict hashes them once.
-    if len(set(exponents)) != len(degs) and len(set(degs)) != len(degs):
-        raise ValueError(f"fit degrees must be distinct, got {degrees!r}")
-    if not degs:
-        raise ValueError("need at least one fit degree")
-    if len(samples.points) < len(degs):
+    if len(samples.points) < len(FIT_DEGREES):
         raise InsufficientSamples(
-            f"{len(samples.points)} samples cannot determine {len(degs)} coefficients"
+            f"{len(samples.points)} samples cannot determine {len(FIT_DEGREES)} coefficients"
         )
     # Imported here, so that a process that fits nothing never compiles it.
     from ._lstsq import condition_number, jacobi, solve
 
     times, values = zip(*samples.points)
-    columns = [[t**e for t in times] for e in exponents]
+    columns = [[t**e for t in times] for e in map(float, FIT_DEGREES)]
     w, v, scale, norms = jacobi(columns)
     condition = condition_number(norms)
     if not math.isfinite(condition) or condition > FIT_CONDITION_LIMIT:
@@ -355,7 +349,7 @@ def fit_expansion(samples: TraceSamples, degrees) -> FitResult:
         )
     solution, residual = solve(w, v, scale, norms, columns, values)
     return FitResult(
-        coefficients=dict(zip(degs, solution)), residual=residual, condition=condition
+        coefficients=dict(zip(FIT_DEGREES, solution)), residual=residual, condition=condition
     )
 
 
@@ -370,10 +364,6 @@ def predicted_expansion(model: FlatModel):
         mirror_length=float(model.mirror_length),
     )
     return full_expansion(model.signature, metric)
-
-
-# The degrees that fit and verify solve for; no caller chooses others.
-FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
 
 
 def degree_label(d: Fraction) -> str:
@@ -400,7 +390,7 @@ def verify_model(model: FlatModel, times=None) -> dict:
     when the predicted value is zero.
     """
     samples = sample_trace(model, times)
-    fit = fit_expansion(samples, FIT_DEGREES)
+    fit = fit_expansion(samples)
     report = {}
     # The fit's coefficients come in FIT_DEGREES order, as the targets do.
     for (label, target), fitted in zip(_targets(model), fit.coefficients.values()):

@@ -188,7 +188,7 @@ def test_criterion_04_flat_spectrum_fits():
         asymptotic = TraceSamples(tuple(
             (t, value - geodesic_remainder(model, t)) for t, value in samples.points
         ))
-        fit = fit_expansion(asymptotic, FIT_DEGREES)
+        fit = fit_expansion(asymptotic)
         for degree in FIT_DEGREES:
             target = predicted.as_float(degree)
             got = fit.coefficients[degree]
@@ -200,7 +200,7 @@ def test_criterion_04_flat_spectrum_fits():
                     f"predicted {target!r}, err {err:.3e} > {bound:.1e}"
                 )
     klein = FlatModel.KLEIN_BOTTLE
-    raw = fit_expansion(sample_trace(klein, grid), FIT_DEGREES)
+    raw = fit_expansion(sample_trace(klein, grid))
     glide_miss = abs(raw.coefficients[Fraction(0)] - predicted_expansion(klein).as_float(0))
     elapsed = time.monotonic() - started
     ok = not violations and elapsed < 10.0
@@ -365,7 +365,7 @@ def test_criterion_09_half_integer_term_predicate():
     grid = tuple(1e-3 * 0.7**i for i in range(12))
     half = Fraction(-1, 2)
     fitted = {
-        model: fit_expansion(sample_trace(model, grid), FIT_DEGREES).coefficients[half]
+        model: fit_expansion(sample_trace(model, grid)).coefficients[half]
         for model in FlatModel
     }
     mirrored_ok = fitted[FlatModel.SQUARE] > 0.1 and fitted[FlatModel.MIRROR_TORUS] > 0.1

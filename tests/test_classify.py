@@ -418,11 +418,18 @@ class TestRosterSize:
             cls = OrbifoldClass(kind, bound)
             assert roster_size(cls) == len(enumerate_class(cls))
 
-    def test_limit_stops_one_past(self):
+    def test_limit_stops_one_past(self, monkeypatch):
         assert roster_size(pillows(10)) == 165
-        assert roster_size(pillows(10), limit=165) == 165
-        assert roster_size(pillows(10), limit=5) == 6
-        assert roster_size(pillows(10**9), limit=1000) == 1001
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 165)
+        assert roster_size(pillows(10)) == 165
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 164)
+        with pytest.raises(ValueError, match="at bound 10 has more than 164 members"):
+            roster_size(pillows(10))
+        # The count stops at the first stem past the limit, so a roster of
+        # about 10^26 members is refused at once.
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 1000)
+        with pytest.raises(ValueError, match="more than 1000 members"):
+            roster_size(pillows(10**9))
 
 
 class TestScansMatchFractionReference:

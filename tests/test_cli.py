@@ -13,9 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import orbheat.classify
 import orbheat.cli
 import orbheat.tables
-from orbheat.cli import SCAN_MEMBER_LIMIT, run
+from orbheat.classify import SCAN_MEMBER_LIMIT
+from orbheat.cli import run
 from orbheat.flat import FlatModel, heat_trace
 from orbheat.heat import MetricData, full_expansion, spectral_c
 from orbheat.notation import parse
@@ -474,9 +476,9 @@ class TestScanCommand:
     def test_member_limit_is_inclusive(self, capsys, monkeypatch):
         # teardrops-footballs at bound 40 has 819 members
         argv = ("scan", "--class", "teardrops-footballs", "--bound", "40")
-        monkeypatch.setattr(orbheat.cli, "SCAN_MEMBER_LIMIT", 819)
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 819)
         assert invoke(capsys, *argv) == (0, "no collisions among 819 members\n", "")
-        monkeypatch.setattr(orbheat.cli, "SCAN_MEMBER_LIMIT", 818)
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 818)
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
         assert "818" in err

@@ -18,6 +18,7 @@ import orbheat.flat
 from orbheat import _lstsq
 from orbheat.flat import (
     FIT_DEGREES,
+    FitResult,
     FlatModel,
     IllConditioned,
     InsufficientSamples,
@@ -322,8 +323,9 @@ def geometric_grid(start, stop, count):
 def test_fit_recovers_synthetic_expansion():
     ts = geometric_grid(1e-2, 1e-3, 12)
     samples = TraceSamples(tuple((t, 3.0 / t + 5.0) for t in ts))
-    fit = fit_expansion(samples, (Fraction(-1), Fraction(0)))
+    fit = fit_expansion(samples)
     assert fit.coefficients[Fraction(-1)] == pytest.approx(3.0, abs=1e-10)
+    assert fit.coefficients[Fraction(-1, 2)] == pytest.approx(0.0, abs=1e-10)
     assert fit.coefficients[Fraction(0)] == pytest.approx(5.0, abs=1e-10)
     assert fit.residual < 1e-10
 
@@ -333,7 +335,7 @@ def test_fit_three_degree_synthetic():
     samples = TraceSamples(
         tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts)
     )
-    fit = fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
+    fit = fit_expansion(samples)
     assert fit.coefficients[Fraction(-1)] == pytest.approx(0.25, abs=1e-9)
     assert fit.coefficients[Fraction(-1, 2)] == pytest.approx(1.5, abs=1e-8)
     assert fit.coefficients[Fraction(0)] == pytest.approx(-2.0, abs=1e-7)
@@ -342,11 +344,7 @@ def test_fit_three_degree_synthetic():
 def test_fit_validation():
     samples = TraceSamples(((0.2, 1.0), (0.1, 2.0)))
     with pytest.raises(InsufficientSamples):
-        fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
-    with pytest.raises(ValueError):
-        fit_expansion(samples, (Fraction(-1), Fraction(-1)))
-    with pytest.raises(ValueError):
-        fit_expansion(samples, ())
+        fit_expansion(samples)
 
 
 def test_fit_condition_guard(monkeypatch):
@@ -354,8 +352,8 @@ def test_fit_condition_guard(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", 100.0)
         with pytest.raises(IllConditioned):
-            fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
-    fit = fit_expansion(samples, (Fraction(-1), Fraction(-1, 2), Fraction(0)))
+            fit_expansion(samples)
+    fit = fit_expansion(samples)
     assert fit.condition < 1e5
 
 
@@ -382,9 +380,16 @@ def distance(coefficients, reference) -> float:
     return float(max(abs(mpmath.mpf(c) - r) for c, r in zip(coefficients, reference)) / scale)
 
 
-def assert_fit_matches_oracle(samples, degrees=FIT_DEGREES):
+def generic_fit(samples, degrees) -> FitResult:
+    """_lstsq's Jacobi and solve on the t^d columns of any degrees, as fit_expansion runs them."""
+    columns = [[t ** float(d) for t in samples.times] for d in degrees]
+    w, v, scale, norms = _lstsq.jacobi(columns)
+    solution, residual = _lstsq.solve(w, v, scale, norms, columns, samples.values)
+    return FitResult(dict(zip(degrees, solution)), residual, _lstsq.condition_number(norms))
+
+
+def assert_fit_matches_oracle(samples, fit, degrees=FIT_DEGREES):
     numpy = pytest.importorskip("numpy")
-    fit = fit_expansion(samples, degrees)
     reference, condition = oracle_fit(samples, degrees)
     design = numpy.array([[t ** float(d) for d in degrees] for t in samples.times])
     theirs = numpy.linalg.lstsq(design, numpy.array(samples.values), rcond=None)[0]
@@ -407,7 +412,8 @@ def assert_fit_matches_oracle(samples, degrees=FIT_DEGREES):
 @pytest.mark.parametrize("start", [1e-2, 1e-3])
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.value)
 def test_fit_matches_oracle_on_the_bench_grids(model, start):
-    assert_fit_matches_oracle(sample_trace(model, default_grid(start)))
+    samples = sample_trace(model, default_grid(start))
+    assert_fit_matches_oracle(samples, fit_expansion(samples))
 
 
 @settings(max_examples=30, deadline=None)
@@ -416,14 +422,15 @@ def test_fit_matches_oracle_on_the_bench_grids(model, start):
     log_start=st.floats(min_value=-6.5, max_value=-0.5),
 )
 def test_fit_matches_oracle_on_drawn_grids(model, log_start):
-    assert_fit_matches_oracle(sample_trace(model, default_grid(10.0**log_start)))
+    samples = sample_trace(model, default_grid(10.0**log_start))
+    assert_fit_matches_oracle(samples, fit_expansion(samples))
 
 
 def test_fit_matches_oracle_on_synthetic_samples():
     ts = geometric_grid(1e-1, 1e-5, 20)
     samples = TraceSamples(tuple((t, 0.3 / t - 0.7 / math.sqrt(t) + 2.0 + 5.0 * t) for t in ts))
     degrees = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1))
-    assert_fit_matches_oracle(samples, degrees)
+    assert_fit_matches_oracle(samples, generic_fit(samples, degrees), degrees)
 
 
 def test_fit_without_refinement_past_the_refinement_range(monkeypatch):
@@ -436,7 +443,7 @@ def test_fit_without_refinement_past_the_refinement_range(monkeypatch):
     samples = TraceSamples(tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts))
     assert min(samples.values) > _lstsq._REFINE_BELOW
     monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
-    fit = fit_expansion(samples, FIT_DEGREES)
+    fit = fit_expansion(samples)
     reference, condition = oracle_fit(samples, FIT_DEGREES)
     assert abs(fit.condition - condition) <= 1e-12 * condition
     assert fit.coefficients[Fraction(-1)] == pytest.approx(float(reference[0]), rel=1e-12)
@@ -529,18 +536,18 @@ def test_jacobi_decomposition_of_full_rank_designs(columns):
 def test_fit_insufficient_samples_boundary():
     ts = geometric_grid(1e-2, 1e-3, 3)
     samples = TraceSamples(tuple((t, 2.0 / t + 1.0) for t in ts))
-    fit = fit_expansion(samples, FIT_DEGREES)  # square: interpolation
+    fit = fit_expansion(samples)  # square: interpolation
     assert fit.coefficients[Fraction(-1)] == pytest.approx(2.0, rel=1e-12)
     assert fit.residual < 1e-10
     with pytest.raises(InsufficientSamples):
-        fit_expansion(samples, (*FIT_DEGREES, Fraction(1)))
+        fit_expansion(TraceSamples(samples.points[:2]))
 
 
 def test_fit_condition_limit_boundary_is_checked_before_solving(monkeypatch):
     samples = sample_trace(FlatModel.TORUS)
-    condition = fit_expansion(samples, FIT_DEGREES).condition
+    condition = fit_expansion(samples).condition
     monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", condition)
-    assert fit_expansion(samples, FIT_DEGREES).condition == condition
+    assert fit_expansion(samples).condition == condition
 
     def no_solve(*args):
         raise AssertionError("solved an ill-conditioned design")
@@ -549,20 +556,23 @@ def test_fit_condition_limit_boundary_is_checked_before_solving(monkeypatch):
     monkeypatch.setattr(_lstsq, "_pseudo_solve", no_solve)
     monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.nextafter(condition, 0.0))
     with pytest.raises(IllConditioned):
-        fit_expansion(samples, FIT_DEGREES)
+        fit_expansion(samples)
 
 
 def test_fit_rank_deficient_designs_are_ill_conditioned(monkeypatch):
-    ts = geometric_grid(1e-1, 1e-3, 12)
+    # At 1, 1 - 2^-53 and 1 - 2^-52, t^-1 and t^-1/2 round to the same
+    # floats, (1, 1, 1 + 2^-52): two equal columns rotate to a zero column,
+    # so sigma_min is 0, an infinite condition.
+    ts = (1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52)
     samples = TraceSamples(tuple((t, 1.0 / t) for t in ts))
-    # t^400 underflows to a zero column: sigma_min is 0, an infinite condition.
     with monkeypatch.context() as patch:
         patch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
         with pytest.raises(IllConditioned, match="condition inf"):
-            fit_expansion(samples, (Fraction(-1), Fraction(400)))
-    # t^(1e-30) rounds to 1.0: two equal columns.
+            fit_expansion(samples)
+    # Nearly equal times a few ulps apart: nearly dependent columns.
+    ts = (4.0, math.nextafter(4.0, 0.0), math.nextafter(math.nextafter(4.0, 0.0), 0.0))
     with pytest.raises(IllConditioned):
-        fit_expansion(samples, (Fraction(0), Fraction(1, 10**30)))
+        fit_expansion(TraceSamples(tuple((t, 1.0 / t) for t in ts)))
 
 
 # === Fit vs prediction ===
@@ -634,7 +644,7 @@ def test_verify_all_models_clean_in_asymptotic_regime(model):
 
 # === Pinned fits and reports ===
 
-# fit_expansion(sample_trace(model, default_grid(start)), FIT_DEGREES) as the
+# fit_expansion(sample_trace(model, default_grid(start))) as the
 # fit computed it before its per-call cost was cut: the coefficients at
 # degrees -1, -1/2 and 0, the residual and the condition.  The cut changed
 # no floating-point operation, so every value must stay equal, not close.
@@ -710,7 +720,7 @@ REPORT_FIELDS = ("fitted", "predicted", "abs_err", "rel_err")
 
 @pytest.mark.parametrize("model, start", PINNED_FITS)
 def test_fit_equals_pinned_values(model, start):
-    fit = fit_expansion(sample_trace(FlatModel(model), default_grid(start)), FIT_DEGREES)
+    fit = fit_expansion(sample_trace(FlatModel(model), default_grid(start)))
     coefficients, residual, condition = PINNED_FITS[model, start]
     assert list(fit.coefficients.items()) == list(zip(FIT_DEGREES, coefficients))
     assert (fit.residual, fit.condition) == (residual, condition)
@@ -730,7 +740,7 @@ def test_verify_equals_pinned_reports(model, start):
 @pytest.mark.parametrize("model", ALL_MODELS)
 def test_verify_report_is_built_from_prediction_and_fit(model):
     times = default_grid(1e-2 * 10**0.05)
-    fit = fit_expansion(sample_trace(model, times), FIT_DEGREES)
+    fit = fit_expansion(sample_trace(model, times))
     predicted = predicted_expansion(model)
     expected = {}
     for d, fitted in fit.coefficients.items():
@@ -749,7 +759,7 @@ def test_mutating_a_result_leaves_the_next_call_unchanged():
     for record in report.values():
         record["predicted"] = 123.0
     report.clear()
-    fit = fit_expansion(sample_trace(model, times), FIT_DEGREES)
+    fit = fit_expansion(sample_trace(model, times))
     fit.coefficients[Fraction(0)] = 123.0
     fit.coefficients.clear()
     expansion = predicted_expansion(model)
@@ -757,15 +767,6 @@ def test_mutating_a_result_leaves_the_next_call_unchanged():
     expansion.coefficients[Fraction(-1)] = 123.0
     assert predicted_expansion(model).coefficients == coefficients
     assert verify_model(model, times=times) == expected
-    again = fit_expansion(sample_trace(model, times), FIT_DEGREES)
+    again = fit_expansion(sample_trace(model, times))
     assert list(again.coefficients.values()) == list(PINNED_FITS["square", 1e-3][0])
 
-
-def test_fit_degrees_equal_after_conversion_are_not_distinct():
-    samples = sample_trace(FlatModel.TORUS)
-    with pytest.raises(ValueError, match="fit degrees must be distinct"):
-        fit_expansion(samples, (0.5, Fraction(1, 2)))
-    # Distinct degrees whose floats are equal pass the check; their equal
-    # columns make the design singular.
-    with pytest.raises(IllConditioned):
-        fit_expansion(samples, (Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**30)))

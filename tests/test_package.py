@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
+import pkgutil
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -65,3 +68,23 @@ def test_package_imports_only_the_standard_library():
                 continue
             outside += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(orbheat.__path__)])
+def test_every_public_annotation_resolves(name):
+    # An annotation naming what its module never imports fails only here:
+    # with postponed evaluation, defining and calling the function both work.
+    module = importlib.import_module(f"orbheat.{name}")
+    functions = []
+    for attr, obj in vars(module).items():
+        if attr.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            functions.append(obj)
+        elif inspect.isclass(obj):
+            functions += [
+                f for a, f in vars(obj).items()
+                if inspect.isfunction(f) and (a == "__init__" or not a.startswith("_"))
+            ]
+    for function in functions:
+        typing.get_type_hints(function)

@@ -62,7 +62,7 @@ RECORDS = {
         True,
     ),
     "PillowSeparation": (
-        lambda: PillowSeparation(False, _sig()),
+        lambda: PillowSeparation(False, _sig(), None),
         "distinguished",
         f"PillowSeparation(distinguished=False, negative_member={_SIG_REPR}, positive_member=None)",
         True,
@@ -137,4 +137,4 @@ def test_fields_take_part_in_equality():
         ClassKind.TRIANGULAR_PILLOWS, 61
     )
     assert MetricData(1, 3.0) != MetricData(1, 3.0, 0.5)
-    assert PillowSeparation(True) != PillowSeparation(False)
+    assert PillowSeparation(True, None, None) != PillowSeparation(False, None, None)
