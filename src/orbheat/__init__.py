@@ -72,10 +72,7 @@ _EXPORTS = {
         "euler_characteristic",
         "geometry_type",
         "is_bad",
-        "is_orientable",
-        "rational_from_json",
         "rational_to_json",
-        "signature_from_json",
         "signature_to_json",
         "spectral_c",
     ),

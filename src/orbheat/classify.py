@@ -328,6 +328,13 @@ def _preimage_candidates(cls: OrbifoldClass, c: Fraction):
             yield part[1]
 
 
+def _exact_c(c_value) -> Fraction:
+    """c_value as an exact Fraction; ValueError, not Fraction's OverflowError, for an infinity."""
+    if c_value in (math.inf, -math.inf):
+        raise ValueError(f"c must be finite, got {c_value!r}")
+    return Fraction(c_value)
+
+
 def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
     """All class members whose spectral constant equals c_value exactly, in roster order.
 
@@ -337,10 +344,10 @@ def c_preimage(cls: OrbifoldClass, c_value) -> tuple:
     min(2/h, bound) first orders for three, and each spherical one-order
     family as a teardrop.  So the cost is O(1) per family plus that search,
     against one c evaluation per member for a roster walk.  Every candidate is
-    confirmed with c_ratio.  Raises ValueError when the three-cone search
-    would exceed PILLOW_ORDER_LIMIT first orders.
+    confirmed with c_ratio.  Raises ValueError when c_value is not finite or
+    the three-cone search would exceed PILLOW_ORDER_LIMIT first orders.
     """
-    c = Fraction(c_value)
+    c = _exact_c(c_value)
     key = (c.numerator, c.denominator)
     return tuple(
         OrbifoldSignature(*member)
@@ -497,10 +504,10 @@ def pillow_negative_vs_rest(c_value) -> PillowSeparation:
     come from the exact, unbounded search of _cone_orders, and the
     lexicographically first pillow of each sign wins, as in the roster.
     A pillow with p + q + r > c + 1 has h < 1, so chi < 0; one with
-    p + q + r < c + 1 has chi > 0.  Raises ValueError when more than
-    PILLOW_ORDER_LIMIT first orders would need trying.
+    p + q + r < c + 1 has chi > 0.  Raises ValueError when c_value is not
+    finite or more than PILLOW_ORDER_LIMIT first orders would need trying.
     """
-    c = Fraction(c_value)
+    c = _exact_c(c_value)
     negative = positive = None
     for orders in _cone_orders(c, 3):
         side = (sum(orders) - 1) * c.denominator - c.numerator  # sign of S - (c + 1)

@@ -258,8 +258,8 @@ def brute_force_trace(model: FlatModel, t: float, cutoff: float) -> float:
 
 def default_grid(start: float = 1e-2) -> tuple:
     """The 12 geometric sample times start * 0.7^i, i = 0..11 (decreasing)."""
-    if not (start > 0):
-        raise ValueError(f"start must be > 0, got {start!r}")
+    if not (start > 0) or not math.isfinite(start):
+        raise ValueError(f"start must be finite and > 0, got {start!r}")
     return tuple(start * 0.7**i for i in range(12))
 
 

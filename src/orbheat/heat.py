@@ -46,7 +46,6 @@ from .signature import (  # c_ratio and spectral_c stay importable from here
     c_ratio,
     degree_zero_term,
     euler_characteristic,
-    rational_from_json,
     rational_to_json,
     spectral_c,
 )
@@ -115,20 +114,20 @@ def coefficient_minus_one(metric: MetricData) -> float:
 
 
 def coefficient_minus_half(metric: MetricData) -> float:
-    return float(metric.mirror_length) / (8.0 * math.sqrt(math.pi))
+    return float(metric.mirror_length) / (8.0 * math.sqrt(math.pi)) or 0.0  # not -0.0
 
 
 def coefficient_half(metric: MetricData) -> float:
     """Degree-1/2 coefficient Q / (64 sqrt(pi)), Q = 2 K L.
 
     +-inf where it is past the float range; full_expansion stores that for
-    to_text and to_json to refuse.
+    to_text and to_json to refuse.  A zero is +0.0, also at K < 0 or L = -0.0.
     """
     # The 2 of Q = 2 K L cancels first, so no 2 K L can overflow, and L is
     # divided first where K L alone would.
     K, L = float(metric.curvature), float(metric.mirror_length)
     value = K * L / (32.0 * math.sqrt(math.pi))
-    return K * (L / (32.0 * math.sqrt(math.pi))) if math.isinf(value) else value
+    return K * (L / (32.0 * math.sqrt(math.pi))) if math.isinf(value) else value or 0.0
 
 
 def coefficient_one(sig: OrbifoldSignature, metric: MetricData) -> float:
@@ -224,17 +223,6 @@ class HeatExpansion(Record):
             else self.as_float(degree)
             for degree in DEGREES
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "HeatExpansion":
-        coefficients = {}
-        for degree in DEGREES:
-            raw = obj[f"deg_{float(degree):g}"]
-            if isinstance(raw, dict):
-                coefficients[degree] = rational_from_json(raw)
-            else:
-                coefficients[degree] = float(raw)
-        return cls(coefficients)
 
 
 def _forced_area(chi: Fraction, K: Rational) -> float:

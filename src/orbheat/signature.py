@@ -5,7 +5,7 @@ number of handles or crosscaps of the underlying surface, the orders of its
 cone points, and its mirror boundary components together with the orders of
 the corner reflectors on each of them.  This module holds that data model,
 the rational Euler characteristic, and the structural predicates
-(orientability, good/bad, geometry type) that everything downstream uses.
+(good/bad, geometry type) that everything downstream uses.
 
 Euler characteristic bookkeeping: a handle costs 2, a crosscap costs 1, a
 mirror boundary component costs 1, a cone point of order m costs (m-1)/m,
@@ -19,7 +19,6 @@ heat coefficient c/12 (degree_zero_term); heat holds the metric.
 from __future__ import annotations
 
 import math
-import re
 from enum import Enum
 from fractions import Fraction
 
@@ -168,11 +167,6 @@ def _singular_degree_one_sum(sig: OrbifoldSignature) -> Fraction:
     return Fraction(*ratio) / 360
 
 
-def is_orientable(sig: OrbifoldSignature) -> bool:
-    """True when the orbifold is orientable: no crosscaps and no mirrors."""
-    return sig.crosscaps == 0 and not sig.mirror_boundaries
-
-
 def is_bad(sig: OrbifoldSignature) -> bool:
     """True for the four families admitting no constant-curvature structure.
 
@@ -239,24 +233,6 @@ def _text(value) -> str:
     return q["num"] if q["den"] == "1" else f"{q['num']}/{q['den']}"
 
 
-def rational_from_json(obj: dict) -> Fraction:
-    """Decode what rational_to_json writes; anything else raises ValueError.
-
-    num must be an ASCII string matching -?[0-9]+ and den one matching
-    [0-9]+ with a nonzero value.
-    """
-    num, den = obj.get("num"), obj.get("den")
-    if not (
-        isinstance(num, str)
-        and isinstance(den, str)
-        and re.fullmatch("-?[0-9]+", num)
-        and re.fullmatch("[0-9]+", den)
-        and int(den) != 0
-    ):
-        raise ValueError(f"malformed rational object: {obj!r}")
-    return Fraction(int(num), int(den))
-
-
 def signature_to_json(sig: OrbifoldSignature) -> dict:
     return {
         "handles": sig.handles,
@@ -264,17 +240,3 @@ def signature_to_json(sig: OrbifoldSignature) -> dict:
         "cone_points": list(sig.cone_points),
         "mirror_boundaries": [list(c) for c in sig.mirror_boundaries],
     }
-
-
-def signature_from_json(obj: dict) -> OrbifoldSignature:
-    # The values go through unconverted, so OrbifoldSignature's own checks
-    # reject a float, bool or string count or order.
-    try:
-        return OrbifoldSignature(
-            handles=obj.get("handles", 0),
-            crosscaps=obj.get("crosscaps", 0),
-            cone_points=tuple(obj.get("cone_points", ())),
-            mirror_boundaries=tuple(tuple(c) for c in obj.get("mirror_boundaries", ())),
-        )
-    except (TypeError, AttributeError) as exc:
-        raise SignatureError(f"malformed signature object: {exc}") from exc

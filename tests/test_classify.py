@@ -152,6 +152,11 @@ class TestOrbifoldClass:
             with pytest.raises(ValueError):
                 OrbifoldClass(ClassKind.TRIANGULAR_PILLOWS, bad)
 
+    @pytest.mark.parametrize("bound", [10.0, True, "10", None])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            OrbifoldClass(ClassKind.TRIANGULAR_PILLOWS, bound)
+
     def test_bound_has_no_default(self):
         # The scan command's --bound default is the one home of 500.
         with pytest.raises(TypeError):
@@ -331,6 +336,16 @@ class TestCPreimage:
         # class-c skips the chi < 0 pillows, so only its chi >= 0 side is searched
         for cls in (class_c(10**9), teardrops(10**9), spherical(10**9)):
             assert c_preimage(cls, c) == ()
+
+
+    @pytest.mark.parametrize("c_value", [math.inf, -math.inf], ids=["inf", "-inf"])
+    def test_an_infinite_c_is_a_value_error(self, c_value):
+        # Fraction(inf) raises OverflowError; nan already raises ValueError.
+        message = f"c must be finite, got {c_value!r}"
+        with pytest.raises(ValueError, match=message):
+            c_preimage(pillows(60), c_value)
+        with pytest.raises(ValueError, match=message):
+            pillow_negative_vs_rest(c_value)
 
 
 class TestConeOrders:

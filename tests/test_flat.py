@@ -286,6 +286,16 @@ def test_shell_limit_is_inclusive(monkeypatch):
         eigenvalue_multiplicities(FlatModel.TORUS, cutoff)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf], ids=["0", "-1", "nan", "inf"])
+def test_oracle_and_grid_reject_a_bad_argument(bad):
+    with pytest.raises(ValueError, match="cutoff must be finite and > 0"):
+        eigenvalue_multiplicities(FlatModel.TORUS, bad)
+    with pytest.raises(ValueError, match="t must be finite and > 0"):
+        brute_force_trace(FlatModel.TORUS, bad, 40.0)
+    with pytest.raises(ValueError, match=f"start must be finite and > 0, got {bad!r}"):
+        default_grid(bad)
+
+
 # === Samples container ===
 
 def test_default_grid():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -412,6 +413,26 @@ def test_coefficient_half_where_k_l_overflows(curvature, mirror_length):
 def test_coefficient_half_keeps_its_bits_where_k_l_is_finite():
     metric = MetricData(Fraction(7, 3), 1.0, mirror_length=1e300)
     assert coefficient_half(metric) == (7 / 3) * 1e300 / (32 * SQRT_PI)
+
+
+@pytest.mark.parametrize(
+    "curvature, mirror_length",
+    [(-1, 0.0), (Fraction(-1, 4), 0.0), (-1e-300, 5e-324), (0, -0.0), (1, -0.0)],
+    ids=["-1-0", "-1/4-0", "-1e-300-underflow", "0--0.0", "1--0.0"],
+)
+def test_zero_half_integer_coefficients_are_positive_zero(curvature, mirror_length):
+    # K L is -0.0 at K < 0 and L = 0, or where it underflows; L itself may be -0.0.
+    metric = MetricData(curvature, 1.0, mirror_length=mirror_length)
+    for value in (coefficient_half(metric), coefficient_minus_half(metric)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_mirrorless_expansion_at_negative_curvature_prints_a_positive_zero():
+    expansion = full_expansion(parse("2,3,7"), MetricData(-1, 2 * math.pi / 42))
+    assert math.copysign(1.0, expansion.as_float(Fraction(1, 2))) == 1.0
+    assert "deg 1/2: 0.0\n" in expansion.to_text()
+    assert expansion.to_json()["deg_0.5"] == 0.0
+    assert math.copysign(1.0, expansion.to_json()["deg_0.5"]) == 1.0
 
 
 def test_coefficient_one_flat_is_zero():
@@ -866,10 +887,10 @@ def test_expansion_json_round_trip():
     assert set(blob) == {"deg_-1", "deg_-0.5", "deg_0", "deg_0.5", "deg_1"}
     assert isinstance(blob["deg_-1"], float)
     assert blob["deg_0"] == {"num": "1", "den": "4"}
-    back = HeatExpansion.from_json(blob)
-    assert back.degree_zero == expansion.degree_zero
     for degree in DEGREES:
-        assert back.as_float(degree) == pytest.approx(expansion.as_float(degree), abs=1e-15)
+        if degree != 0:
+            assert blob[f"deg_{float(degree):g}"] == expansion.as_float(degree)
+    assert json.loads(json.dumps(blob)) == blob
 
 
 def test_expansion_json_names_a_degree_past_the_float_range():

@@ -133,6 +133,12 @@ def test_parse_errors(text, kind, position):
     assert f"position {position}" in str(info.value)
 
 
+@pytest.mark.parametrize("text", [None, 237, b"2,3,7"])
+def test_parse_rejects_a_non_string(text):
+    with pytest.raises(TypeError, match="notation must be a string"):
+        parse(text)
+
+
 FAULT_ALPHABET = "o*x×X21 ,;(O3"
 
 

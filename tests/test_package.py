@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
 import inspect
 import pkgutil
@@ -21,6 +22,40 @@ from test_cli import run_python
 def test_public_name_is_its_submodules_object(name):
     module = importlib.import_module(f"orbheat.{orbheat._ORIGIN[name]}")
     assert getattr(orbheat, name) is getattr(module, name)
+
+
+def _names_read(source):
+    """Every name, attribute and imported name that the Python source reads.
+
+    A string that is a name counts (a getattr table), and so does one that
+    is Python code (run in a child process).
+    """
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+            else:
+                with contextlib.suppress(SyntaxError, ValueError):
+                    names |= _names_read(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller():
+    # A caller is another orbheat module, a benchmark or tool script, or the
+    # acceptance tests; the unit tests of a name alone do not keep it public.
+    root = Path(orbheat.__file__).parents[2]
+    package = Path(orbheat.__file__).parent
+    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    paths += [*root.glob("bench/*.py"), *root.glob("tools/*.py"), root / "tests/test_acceptance.py"]
+    read = set().union(*(_names_read(path.read_text()) for path in paths))
+    assert sorted(set(orbheat.__all__) - read) == []
 
 
 def test_all_names_are_unique_and_listed_by_dir():

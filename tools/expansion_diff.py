@@ -6,7 +6,7 @@ Each commit is extracted with bench_pairs.extract into its own fresh
 temporary directory.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
-fixed, 11,714 runs in four named groups, in this order, each in both
+fixed, 11,716 runs in four named groups, in this order, each in both
 formats:
 
   * "expansion": 17 signatures x 16 curvatures x 5 areas x 4 mirror
@@ -21,9 +21,10 @@ formats:
     `tables --which 1|2`;
   * "flat models", 70 runs: `trace` on the 5 models at 5 times from
     1e-300 to 1e3, and `fit` and `verify` on the 5 models;
-  * "negative values", 16 runs: 8 negative values given as a separate
-    word: `--curvature -1/4`, `--curvature -1e-3`, five non-finite words
-    such as `--area -inf` and `--t -nan`, and `--c-value -7/2`.
+  * "negative values", 18 runs: 9 negative values given as a separate
+    word: `--curvature -1/4`, `--curvature -1e-3`, `--mirror-length -0.0`,
+    five non-finite words such as `--area -inf` and `--t -nan`, and
+    `--c-value -7/2`.
 
 Each argv whose (exit, stdout, stderr) differs is printed with its group
 and both sides, and the exit status is 1 when any differ, else 0.
@@ -83,6 +84,7 @@ NEGATIVE_VALUES = (
     ["expansion", "2,3,7", "--curvature", "-1/4", "--area", "-inf"],
     ["expansion", "2,3,7", "--curvature", "-Infinity"],
     ["expansion", "2,3,7", "--curvature=1", "--mirror-length", "-INF"],
+    ["expansion", "o", "--curvature=0", "--area=1", "--mirror-length", "-0.0"],
     ["trace", "--model=torus", "--t", "-nan"],
     ["trace", "--model=torus", "--t", "-NaN"],
     ["classify", "--class=pillow-negative", "--c-value", "-7/2"],
