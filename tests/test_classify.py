@@ -337,7 +337,6 @@ class TestCPreimage:
         for cls in (class_c(10**9), teardrops(10**9), spherical(10**9)):
             assert c_preimage(cls, c) == ()
 
-
     @pytest.mark.parametrize("c_value", [math.inf, -math.inf], ids=["inf", "-inf"])
     def test_an_infinite_c_is_a_value_error(self, c_value):
         # Fraction(inf) raises OverflowError; nan already raises ValueError.

@@ -1,4 +1,4 @@
-"""The package namespace: every public name resolves, on first use, to its submodule's object."""
+"""The package namespace: public names resolve lazily to their submodules' objects and have callers."""
 
 from __future__ import annotations
 
@@ -50,9 +50,8 @@ def _names_read(source):
 def test_every_public_name_has_a_caller():
     # A caller is another orbheat module, a benchmark or tool script, or the
     # acceptance tests; the unit tests of a name alone do not keep it public.
-    root = Path(orbheat.__file__).parents[2]
-    package = Path(orbheat.__file__).parent
-    paths = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in Path(orbheat.__file__).parent.glob("*.py") if p.name != "__init__.py"]
     paths += [*root.glob("bench/*.py"), *root.glob("tools/*.py"), root / "tests/test_acceptance.py"]
     read = set().union(*(_names_read(path.read_text()) for path in paths))
     assert sorted(set(orbheat.__all__) - read) == []
