@@ -204,14 +204,24 @@ def _roster(cls: OrbifoldClass):
 
 
 def enumerate_class(cls: OrbifoldClass) -> tuple:
-    """Complete duplicate-free roster of the class with orders <= cls.bound."""
+    """Complete duplicate-free roster of the class with orders <= cls.bound.
+
+    Raises roster_size's ValueError, before building any member, when the
+    class has more than SCAN_MEMBER_LIMIT members.
+    """
+    roster_size(cls)
     return tuple(OrbifoldSignature(*member) for member in _roster(cls))
 
 
-# Largest roster roster_size, and so `orbheat scan`, accepts.  The bucket
-# sweep keeps a scan's memory small at any bound (about 20 MB RSS at this
-# limit), so what this caps is run time: about a second at the limit,
-# growing with the members.
+# Largest roster that roster_size, enumerate_class and collision_groups (and
+# so injectivity_scan and `orbheat scan`) accept.  The bucket sweep holds
+# two buckets of keys, not the roster, but a scan's time and memory also
+# grow with the members it reports.  Near the limit, in fresh `orbheat scan`
+# processes on a 2-core Intel Xeon with Python 3.11.7: pillows@180,
+# teardrops-footballs@1400 and class-c@1400 take 0.3-0.4 s and peak at
+# 17-20 MB RSS; spherical@140000 (980,000 members, 699,998 of them in
+# collision groups, 559,999 pairs) takes 20 s and 530 MB as text, 24 s
+# and 1.3 GB as JSON, of which collision_groups takes 13 s.
 SCAN_MEMBER_LIMIT = 1_000_000
 # Largest number of first orders the three-cone search tries for one h.  The
 # range (1/h, min(3/h, S/3)] grows with the denominator of c, so an uncapped
@@ -231,11 +241,16 @@ def roster_size(cls: OrbifoldClass) -> int:
     for *_, last in _stems(cls):
         count += len(last)
         if count > SCAN_MEMBER_LIMIT:
-            raise ValueError(
-                f"class {cls.kind.value} at bound {cls.bound} has more than "
-                f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
-            )
+            raise _past_limit(cls)
     return count
+
+
+def _past_limit(cls: OrbifoldClass) -> ValueError:
+    """The error for a class with more than SCAN_MEMBER_LIMIT members."""
+    return ValueError(
+        f"class {cls.kind.value} at bound {cls.bound} has more than "
+        f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
+    )
 
 
 def _order_pair(total: int, num: int, den: int):
@@ -411,7 +426,9 @@ def collision_groups(cls: OrbifoldClass) -> dict:
     share a key within a bucket, or with the bucket before, are rebuilt
     from the stems and confirmed with the exact c_ratio, which splits a key
     shared by different c.  Groups, and the members in each, come in
-    roster order.
+    roster order.  Raises roster_size's ValueError from the walk over the
+    stems, before anything is built per order, when the class has more than
+    SCAN_MEMBER_LIMIT members.
     """
     P = _MODULUS
 
@@ -419,11 +436,6 @@ def collision_groups(cls: OrbifoldClass) -> dict:
         num, den = ratio
         return num * pow(den, -1, P) % P
 
-    sphere = residue(c_ratio(0, 0, (), ()))
-    # cone[r] is what one more cone of order r adds to a residue.
-    cone = [0, 0] + [
-        (residue(c_ratio(0, 0, (r,), ())) - sphere) % P for r in range(2, cls.bound + 1)
-    ]
     # A stem is (residue, floor(c_s), roster index of its member minus that
     # member's bucket), keyed by the roster index of its first member; starts
     # and ends map a bucket to the stems that begin there and to those whose
@@ -437,6 +449,13 @@ def collision_groups(cls: OrbifoldClass) -> dict:
         starts.setdefault(first, {})[i] = residue(ratio), floor, i - first
         ends.setdefault(first + len(last), []).append(i)
         i += len(last)
+        if i > SCAN_MEMBER_LIMIT:
+            raise _past_limit(cls)
+    sphere = residue(c_ratio(0, 0, (), ()))
+    # cone[r] is what one more cone of order r adds to a residue.
+    cone = [0, 0] + [
+        (residue(c_ratio(0, 0, (r,), ())) - sphere) % P for r in range(2, cls.bound + 1)
+    ]
     shared = set()  # roster indices of the members whose residue is not theirs alone
     active = {}  # the stems with a member in the bucket
     previous = {}  # residue -> roster index of a member with it, in the bucket before

@@ -39,11 +39,10 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._record import Record
-from .signature import (  # c_ratio and spectral_c stay importable from here
+from .signature import (  # spectral_c stays importable from here
     OrbifoldSignature,
     _singular_degree_one_sum,
     _text,
-    c_ratio,
     degree_zero_term,
     euler_characteristic,
     rational_to_json,

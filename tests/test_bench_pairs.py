@@ -85,6 +85,18 @@ def test_identical_ratios_are_no_regression():
     assert compare([0.98] * 10, "higher", 0.01, parent=ones)["verdict"] == "regression"
 
 
+def test_pair_ratio_is_per_pair_change_over_parent():
+    # Both sides drift together, so the ratios spread less than either side.
+    change = [0.9 * p for p in PARENT]
+    result = bench_pairs.pair_ratio(PARENT, change)
+    assert result["median"] == pytest.approx(0.9)
+    assert result["iqr"] == pytest.approx(0.0)
+    assert result["values"] == [c / p for p, c in zip(PARENT, change)]
+    # A pair whose parent reads 0 has no ratio; fewer than two ratios, no quartiles.
+    assert bench_pairs.pair_ratio([0.0, 2.0, 4.0], [1.0, 3.0, 6.0])["median"] == 1.5
+    assert bench_pairs.pair_ratio([0.0, 2.0], [1.0, 3.0]) is None
+
+
 @pytest.mark.parametrize("pairs, accepted", [("0", False), ("1", False), ("2", True)])
 def test_fewer_than_two_pairs_exit_before_any_run(monkeypatch, capsys, pairs, accepted):
     class Extracted(Exception):
@@ -192,3 +204,4 @@ def test_report_holds_each_run_per_kind_medians(monkeypatch, tmp_path):
     assert report["workloads"]["spectra"]["floor_rss_mb"] == {
         "parent": [30.0, 31.0], "change": [30.0, 31.0],
     }
+    assert report["workloads"]["spectra"]["metrics"]["op_p50_ms"]["pair_ratio"]["values"] == [0.5, 0.5]

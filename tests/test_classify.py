@@ -445,6 +445,21 @@ class TestRosterSize:
         with pytest.raises(ValueError, match="more than 1000 members"):
             roster_size(pillows(10**9))
 
+    @pytest.mark.parametrize("walk", [collision_groups, injectivity_scan, enumerate_class])
+    def test_every_roster_walk_stops_one_past(self, monkeypatch, walk):
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 165)
+        walk(pillows(10))
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 164)
+        with pytest.raises(ValueError, match="at bound 10 has more than 164 members"):
+            walk(pillows(10))
+
+    @pytest.mark.parametrize("walk", [collision_groups, enumerate_class])
+    def test_every_roster_walk_refuses_a_huge_roster_at_once(self, walk):
+        # Pillows at bound 10^9 pass the limit in their first stem, before a
+        # scan builds its table of 10^9 cone residues.
+        with pytest.raises(ValueError, match="more than 1000000 members"):
+            walk(pillows(10**9))
+
 
 class TestScansMatchFractionReference:
     """The int-keyed scans against plain Fraction bookkeeping over the roster."""

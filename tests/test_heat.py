@@ -18,7 +18,6 @@ from orbheat.heat import (
     _default_area,
     HeatExpansion,
     MetricData,
-    c_ratio,
     coefficient_half,
     coefficient_minus_half,
     coefficient_minus_one,
@@ -29,7 +28,7 @@ from orbheat.heat import (
     spectral_c,
 )
 from orbheat.notation import parse
-from orbheat.signature import OrbifoldSignature, euler_characteristic
+from orbheat.signature import OrbifoldSignature, c_ratio, euler_characteristic
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -1,4 +1,4 @@
-"""The package namespace: public names resolve lazily to their submodules' objects and have callers."""
+"""The package: each public name has one import path, its defining module, and a caller."""
 
 from __future__ import annotations
 
@@ -17,11 +17,43 @@ import orbheat
 
 from test_cli import run_python
 
+SRC = Path(orbheat.__file__).parent
+MODULES = [m.name for m in pkgutil.iter_modules(orbheat.__path__)]
 
-@pytest.mark.parametrize("name", orbheat.__all__)
+
+def _defined(source):
+    """The top-level non-underscore names a module's def, class and assignment statements bind."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def _defined_by():
+    """Public name -> the orbheat modules that define it, read from the source."""
+    modules = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _defined(path.read_text()):
+            modules.setdefault(name, []).append(path.stem)
+    return modules
+
+
+DEFINED_BY = _defined_by()
+
+
+@pytest.mark.parametrize("name", sorted(DEFINED_BY))
 def test_public_name_is_its_submodules_object(name):
-    module = importlib.import_module(f"orbheat.{orbheat._ORIGIN[name]}")
-    assert getattr(orbheat, name) is getattr(module, name)
+    # One module defines the name; any other that binds it imported that object.
+    [home] = DEFINED_BY[name]
+    value = getattr(importlib.import_module(f"orbheat.{home}"), name)
+    for module in MODULES:
+        binding = getattr(importlib.import_module(f"orbheat.{module}"), name, value)
+        assert binding is value, module
 
 
 def _names_read(source):
@@ -48,37 +80,33 @@ def _names_read(source):
 
 
 def test_every_public_name_has_a_caller():
-    # A caller is another orbheat module, a benchmark or tool script, or the
+    # A caller is an orbheat module, a benchmark or tool script, or the
     # acceptance tests; the unit tests of a name alone do not keep it public.
-    root = Path(__file__).resolve().parents[1]
-    paths = [p for p in Path(orbheat.__file__).parent.glob("*.py") if p.name != "__init__.py"]
-    paths += [*root.glob("bench/*.py"), *root.glob("tools/*.py"), root / "tests/test_acceptance.py"]
+    root = SRC.parents[1]
+    paths = [*SRC.glob("*.py"), *root.glob("bench/*.py"), *root.glob("tools/*.py")]
+    paths.append(root / "tests/test_acceptance.py")
     read = set().union(*(_names_read(path.read_text()) for path in paths))
-    assert sorted(set(orbheat.__all__) - read) == []
-
-
-def test_all_names_are_unique_and_listed_by_dir():
-    assert len(set(orbheat.__all__)) == len(orbheat.__all__)
-    assert set(orbheat.__all__) <= set(dir(orbheat))
-    assert "__version__" in dir(orbheat)
-
-
-def test_star_import_binds_every_public_name():
-    namespace = {}
-    exec("from orbheat import *", namespace)
-    assert set(orbheat.__all__) <= set(namespace)
-    assert namespace["OrbifoldSignature"] is orbheat.signature.OrbifoldSignature
+    assert sorted(set(DEFINED_BY) - read) == []
 
 
 def test_submodules_resolve_as_attributes():
-    for module in ("classify", "flat", "heat", "notation", "signature", "tables"):
-        assert getattr(orbheat, module) is importlib.import_module(f"orbheat.{module}")
+    # The forms bench, tools and tests use: a from-import of a submodule.
+    code = "from orbheat import _lstsq, cli, tables; print(tables.__name__, cli.__name__, _lstsq.__name__)"
+    result = run_python("-c", code)
+    assert (result.returncode, result.stdout) == (
+        0,
+        "orbheat.tables orbheat.cli orbheat._lstsq\n",
+    ), result.stderr
+    for module in MODULES:
+        assert importlib.import_module(f"orbheat.{module}") is getattr(orbheat, module)
 
 
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         orbheat.no_such_name
     assert not hasattr(orbheat, "cli_main")
+    # A name defined by a submodule is not bound by the package as well.
+    assert [name for name in DEFINED_BY if hasattr(orbheat, name)] == []
 
 
 def test_package_import_loads_no_submodule():
@@ -87,12 +115,11 @@ def test_package_import_loads_no_submodule():
     assert (result.returncode, result.stdout) == (0, "orbheat\n")
 
 
-
 def test_package_imports_only_the_standard_library():
     # Every import in src/orbheat names a standard-library module or orbheat itself.
     allowed = sys.stdlib_module_names | {"orbheat"}
     outside = []
-    for path in sorted(Path(orbheat.__file__).parent.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -104,7 +131,7 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
-@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(orbheat.__path__)])
+@pytest.mark.parametrize("name", MODULES)
 def test_every_public_annotation_resolves(name):
     # An annotation naming what its module never imports fails only here:
     # with postponed evaluation, defining and calling the function both work.

@@ -299,22 +299,23 @@ def test_signature_json_round_trip(signature):
 
 
 def test_heat_binds_the_same_c_ratio_and_spectral_c():
-    # c_ratio and spectral_c live in signature; heat still binds the same objects.
+    # c_ratio and spectral_c live in signature; heat binds the same spectral_c
+    # and no c_ratio.
     import orbheat.heat
     import orbheat.signature
 
-    assert orbheat.heat.c_ratio is orbheat.signature.c_ratio
+    assert not hasattr(orbheat.heat, "c_ratio")
     assert orbheat.heat.spectral_c is orbheat.signature.spectral_c
 
 
 def test_degree_zero_term_lives_in_signature():
-    # heat binds the same object, and the package resolves it without heat.
+    # heat binds the same object, and signature defines it without loading heat.
     import orbheat.heat
     import orbheat.signature
 
     assert orbheat.heat.degree_zero_term is orbheat.signature.degree_zero_term
     code = (
-        "import sys, orbheat; orbheat.degree_zero_term; "
+        "import sys, orbheat.signature; orbheat.signature.degree_zero_term; "
         "print(*sorted(m for m in sys.modules if m.startswith('orbheat')))"
     )
     result = run_python("-c", code)

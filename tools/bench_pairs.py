@@ -11,8 +11,9 @@ seed0 + 100 * w + i, the parent first in even pairs and the change first in
 odd ones, so a slow spell of the machine does not land on one side only.
 The output holds, per workload and end-to-end metric, each side's values,
 median and quartiles, the number of pairs in which the change was better,
-the change of the median, the parent's interquartile range and a verdict
-(see `compare`), plus the seeds, run order, source digests and host facts
+the change of the median, the parent's interquartile range, a verdict
+(see `compare`) and the median and quartiles of the per-pair ratios
+change/parent (see `pair_ratio`), plus the seeds, run order, source digests and host facts
 that bench/run.py reports, and each run's median time and count per op
 kind, so which kind sets op_p50_ms can be read from the file.  Each run's
 floor_rss_mb is the peak RSS of the benchmark process itself, which no op
@@ -107,6 +108,17 @@ def compare(parent: list, change: list, better: str, bound: float) -> dict:
     return {"change_better_pairs": wins, "median_delta": delta, "parent_iqr": iqr, "verdict": verdict}
 
 
+def pair_ratio(parent: list, change: list) -> dict | None:
+    """Median and quartiles of change[i] / parent[i] over the pairs with a nonzero parent.
+
+    A pair shares its seed and its spell of the machine, so the ratios can
+    spread less than either side's runs.  They do not enter the verdict.
+    None when fewer than two pairs have a nonzero parent.
+    """
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    return quartiles(ratios) if len(ratios) >= 2 else None
+
+
 def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict) -> dict:
     """Extract both commits under `work`, run every workload's pairs, return the report."""
     sides = {"parent": work / "parent", "change": work / "change"}
@@ -151,6 +163,7 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
                 "parent": quartiles(values["parent"]),
                 "change": quartiles(values["change"]),
                 **compare(values["parent"], values["change"], spec["better"], spec["bound"]),
+                "pair_ratio": pair_ratio(values["parent"], values["change"]),
             }
         report["workloads"][workload] = {
             "seeds": seeds,
