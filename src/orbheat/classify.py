@@ -215,8 +215,8 @@ def enumerate_class(cls: OrbifoldClass) -> tuple:
 
 # Largest roster that roster_size, enumerate_class and collision_groups (and
 # so injectivity_scan and `orbheat scan`) accept.  The bucket sweep holds
-# two buckets of keys, not the roster, but a scan's time and memory also
-# grow with the members it reports.  Near the limit, in fresh `orbheat scan`
+# the stems and two buckets of keys, not the members, but a scan's time and
+# memory also grow with the members it reports.  Near the limit, in fresh `orbheat scan`
 # processes on a 2-core Intel Xeon with Python 3.11.7: pillows@180,
 # teardrops-footballs@1400 and class-c@1400 take 0.3-0.4 s and peak at
 # 17-20 MB RSS; spherical@140000 (980,000 members, 699,998 of them in

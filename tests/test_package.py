@@ -29,8 +29,6 @@ def _defined(source):
             names.append(node.name)
         elif isinstance(node, ast.Assign):
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.append(node.target.id)
     return [name for name in names if not name.startswith("_")]
 
 
