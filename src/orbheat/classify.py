@@ -213,8 +213,9 @@ def enumerate_class(cls: OrbifoldClass) -> tuple:
     return tuple(OrbifoldSignature(*member) for member in _roster(cls))
 
 
-# Largest roster that roster_size, enumerate_class and collision_groups (and
-# so injectivity_scan and `orbheat scan`) accept.  The bucket sweep holds
+# Largest roster that roster_size accepts.  roster_size alone checks it, and
+# enumerate_class and collision_groups (and so injectivity_scan and `orbheat
+# scan`) call roster_size before any roster work.  The bucket sweep holds
 # the stems and two buckets of keys, not the members, but a scan's time and
 # memory also grow with the members it reports.  Near the limit, in fresh `orbheat scan`
 # processes on a 2-core Intel Xeon with Python 3.11.7: pillows@180,
@@ -241,16 +242,11 @@ def roster_size(cls: OrbifoldClass) -> int:
     for *_, last in _stems(cls):
         count += len(last)
         if count > SCAN_MEMBER_LIMIT:
-            raise _past_limit(cls)
+            raise ValueError(
+                f"class {cls.kind.value} at bound {cls.bound} has more than "
+                f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
+            )
     return count
-
-
-def _past_limit(cls: OrbifoldClass) -> ValueError:
-    """The error for a class with more than SCAN_MEMBER_LIMIT members."""
-    return ValueError(
-        f"class {cls.kind.value} at bound {cls.bound} has more than "
-        f"{SCAN_MEMBER_LIMIT} members; scan stops at that limit"
-    )
 
 
 def _order_pair(total: int, num: int, den: int):
@@ -426,10 +422,10 @@ def collision_groups(cls: OrbifoldClass) -> dict:
     share a key within a bucket, or with the bucket before, are rebuilt
     from the stems and confirmed with the exact c_ratio, which splits a key
     shared by different c.  Groups, and the members in each, come in
-    roster order.  Raises roster_size's ValueError from the walk over the
-    stems, before anything is built per order, when the class has more than
-    SCAN_MEMBER_LIMIT members.
+    roster order.  Raises roster_size's ValueError, before computing any
+    stem's c, when the class has more than SCAN_MEMBER_LIMIT members.
     """
+    roster_size(cls)
     P = _MODULUS
 
     def residue(ratio):
@@ -449,8 +445,6 @@ def collision_groups(cls: OrbifoldClass) -> dict:
         starts.setdefault(first, {})[i] = residue(ratio), floor, i - first
         ends.setdefault(first + len(last), []).append(i)
         i += len(last)
-        if i > SCAN_MEMBER_LIMIT:
-            raise _past_limit(cls)
     sphere = residue(c_ratio(0, 0, (), ()))
     # cone[r] is what one more cone of order r adds to a residue.
     cone = [0, 0] + [

@@ -213,12 +213,12 @@ def _cmd_scan(args) -> int:
     from .notation import render
 
     cls = OrbifoldClass(ClassKind(args.class_name), args.bound)
-    members = roster_size(cls)
     pairs = injectivity_scan(cls)
     # Either format renders every signature, so only the requested one is built.
     if args.format == "json":
         _emit(args, [p.to_json() for p in pairs], ())
         return 0
+    members = roster_size(cls)
     if pairs:
         text = [
             f"{render(p.sig_a)} ~ {render(p.sig_b)}  c={p.c}" for p in pairs

@@ -39,14 +39,13 @@ from fractions import Fraction
 from numbers import Rational
 
 from ._record import Record
-from .signature import (  # spectral_c stays importable from here
+from .signature import (
     OrbifoldSignature,
     _singular_degree_one_sum,
     _text,
     degree_zero_term,
     euler_characteristic,
     rational_to_json,
-    spectral_c,
 )
 
 DEGREES = (

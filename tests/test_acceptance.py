@@ -44,10 +44,9 @@ from orbheat.heat import (
     coefficient_one,
     full_expansion,
     has_half_integer_terms,
-    spectral_c,
 )
 from orbheat.notation import parse, render
-from orbheat.signature import OrbifoldSignature, euler_characteristic
+from orbheat.signature import OrbifoldSignature, euler_characteristic, spectral_c
 from orbheat.tables import TABLE2_FIXED, verify_table1, verify_table2
 from test_trigsums import cosecant_sum_numeric
 

@@ -34,9 +34,15 @@ from orbheat.classify import (
     spherical_distinguish,
     unit_sphere_mirror_length,
 )
-from orbheat.heat import HeatExpansion, MetricData, full_expansion, spectral_c
+from orbheat.heat import HeatExpansion, MetricData, full_expansion
 from orbheat.notation import parse, render
-from orbheat.signature import GeometryType, OrbifoldSignature, euler_characteristic, geometry_type
+from orbheat.signature import (
+    GeometryType,
+    OrbifoldSignature,
+    euler_characteristic,
+    geometry_type,
+    spectral_c,
+)
 
 
 def teardrops(bound):
@@ -452,6 +458,24 @@ class TestRosterSize:
         monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 164)
         with pytest.raises(ValueError, match="at bound 10 has more than 164 members"):
             walk(pillows(10))
+
+    @pytest.mark.parametrize("kind", list(ClassKind))
+    def test_collision_groups_counts_before_computing_any_c(self, monkeypatch, kind):
+        # roster_size refuses the class before the stem walk computes a c.
+        cls = OrbifoldClass(kind, 10)
+        assert roster_size(cls) > 20
+        monkeypatch.setattr(orbheat.classify, "SCAN_MEMBER_LIMIT", 20)
+        calls = []
+        c_ratio = orbheat.classify.c_ratio
+
+        def counted(*args):
+            calls.append(args)
+            return c_ratio(*args)
+
+        monkeypatch.setattr(orbheat.classify, "c_ratio", counted)
+        with pytest.raises(ValueError, match="at bound 10 has more than 20 members"):
+            collision_groups(cls)
+        assert calls == []
 
     @pytest.mark.parametrize("walk", [collision_groups, enumerate_class])
     def test_every_roster_walk_refuses_a_huge_roster_at_once(self, walk):

@@ -19,9 +19,9 @@ import orbheat.tables
 from orbheat.classify import SCAN_MEMBER_LIMIT
 from orbheat.cli import run
 from orbheat.flat import FlatModel, heat_trace
-from orbheat.heat import MetricData, full_expansion, spectral_c
+from orbheat.heat import MetricData, full_expansion
 from orbheat.notation import parse
-from orbheat.signature import euler_characteristic, signature_to_json
+from orbheat.signature import euler_characteristic, signature_to_json, spectral_c
 
 
 def invoke(capsys, *argv):

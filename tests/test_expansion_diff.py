@@ -17,15 +17,15 @@ def test_argv_set_is_the_documented_product():
     groups = expansion_diff.argv_set()
     sizes = {
         "expansion": 17 * 16 * 5 * 4 * 2,
-        "topological": (3 * 17 + 2 * 12 * 12 + 16 + 4 * 3 + 4 + 1 + 2) * 2,
+        "topological": (3 * 17 + 2 * 12 * 12 + 16 + 4 * 3 + 4 + 2 + 2) * 2,
         "flat models": (5 * 5 + 2 * 5) * 2,
         "negative values": 9 * 2,
     }
     assert {name: len(argvs) for name, argvs in groups.items()} == sizes
     assert list(groups) == list(sizes)  # the run order: expansion first
-    assert list(sizes.values()) == [10_880, 748, 70, 18]
+    assert list(sizes.values()) == [10_880, 750, 70, 18]
     argvs = [tuple(argv) for group in groups.values() for argv in group]
-    assert len(set(argvs)) == len(argvs) == 11_716
+    assert len(set(argvs)) == len(argvs) == 11_718
     assert {argv[0] for argv in groups["expansion"]} == {"expansion"}
     assert ["expansion", "*2,3,5", "--curvature=1e300", "--format=json",
             "--mirror-length=1e10"] in groups["expansion"]
@@ -40,6 +40,8 @@ def test_argv_set_covers_the_topological_subcommands():
     assert ["scan", "--class=spherical", "--bound=500", "--format=json"] in argvs
     assert ["scan", "--class=pillows", "--bound=100", "--format=text"] in argvs
     assert ["scan", "--class=pillows", "--bound=200", "--format=json"] in argvs
+    assert ["scan", "--class=spherical", "--bound=150000", "--format=text"] in argvs
+    assert ["scan", "--class=spherical", "--bound=150000", "--format=json"] in argvs
 
 
 def test_argv_set_covers_the_flat_models_and_negative_values():
@@ -71,7 +73,7 @@ def test_a_tree_against_itself_differs_nowhere(monkeypatch, capsys):
     monkeypatch.setattr(expansion_diff, "extract", extract)
     assert expansion_diff.main(["--parent", "HEAD", "--change", "HEAD"]) == 0
     assert extracted == ["HEAD", "HEAD"]
-    assert capsys.readouterr().out == "0 of 11716 argv differ\n"
+    assert capsys.readouterr().out == "0 of 11718 argv differ\n"
 
 
 def test_a_differing_run_is_printed_with_both_sides(monkeypatch, capsys):

@@ -25,10 +25,9 @@ from orbheat.heat import (
     degree_zero_term,
     full_expansion,
     has_half_integer_terms,
-    spectral_c,
 )
 from orbheat.notation import parse
-from orbheat.signature import OrbifoldSignature, c_ratio, euler_characteristic
+from orbheat.signature import OrbifoldSignature, c_ratio, euler_characteristic, spectral_c
 
 SQRT_PI = math.sqrt(math.pi)
 

@@ -129,6 +129,28 @@ def test_package_imports_only_the_standard_library():
     assert outside == []
 
 
+def test_every_imported_name_is_read():
+    # An import that its module never reads is an alias kept for other
+    # importers; each name has one import path, so there is none.
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unread.append(f"{path.stem}.{bound}")
+    assert unread == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_every_public_annotation_resolves(name):
     # An annotation naming what its module never imports fails only here:

@@ -299,13 +299,12 @@ def test_signature_json_round_trip(signature):
 
 
 def test_heat_binds_the_same_c_ratio_and_spectral_c():
-    # c_ratio and spectral_c live in signature; heat binds the same spectral_c
-    # and no c_ratio.
+    # c_ratio and spectral_c live in signature; heat reads neither, so it
+    # binds neither.
     import orbheat.heat
-    import orbheat.signature
 
     assert not hasattr(orbheat.heat, "c_ratio")
-    assert orbheat.heat.spectral_c is orbheat.signature.spectral_c
+    assert not hasattr(orbheat.heat, "spectral_c")
 
 
 def test_degree_zero_term_lives_in_signature():

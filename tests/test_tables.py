@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import orbheat.tables
-from orbheat.heat import degree_zero_term, spectral_c
+from orbheat.heat import degree_zero_term
 from orbheat.notation import parse
-from orbheat.signature import euler_characteristic
+from orbheat.signature import euler_characteristic, spectral_c
 from orbheat.tables import (
     TABLE1_FAMILIES,
     TABLE1_FIXED,

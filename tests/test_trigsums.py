@@ -18,8 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from orbheat.heat import MetricData, coefficient_one, spectral_c
-from orbheat.signature import OrbifoldSignature, euler_characteristic
+from orbheat.heat import MetricData, coefficient_one
+from orbheat.signature import OrbifoldSignature, euler_characteristic, spectral_c
 
 SPHERE = OrbifoldSignature()
 UNIT_SPHERE = MetricData(curvature=1, area=4 * math.pi)

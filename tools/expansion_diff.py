@@ -6,19 +6,20 @@ Each commit is extracted with bench_pairs.extract into its own fresh
 temporary directory.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
-fixed, 11,716 runs in four named groups, in this order, each in both
+fixed, 11,718 runs in four named groups, in this order, each in both
 formats:
 
   * "expansion": 17 signatures x 16 curvatures x 5 areas x 4 mirror
     lengths x 2 formats, 10,880 runs, chosen around the edges of the float
     range;
-  * "topological", 748 runs: `parse`, `chi` and `c` on the 17 signatures;
+  * "topological", 750 runs: `parse`, `chi` and `c` on the 17 signatures;
     `classify --class spherical|positive-zero --pair` on the ordered pairs
     of 12 notations; `classify --class pillow-negative` at 16 c values;
     `scan` on all four classes at bounds 2, 20 and 60, at the benchmark's
-    sizes, pillows at 100 and the other three at 500, and on pillows at
-    200, whose 1,333,300 members are past the roster limit; and
-    `tables --which 1|2`;
+    sizes, pillows at 100 and the other three at 500, and on two rosters
+    past the roster limit: pillows at 200, whose 1,333,300 members pass it
+    in the first stem, and spherical at 150,000, whose 1,050,000 members
+    come one per stem; and `tables --which 1|2`;
   * "flat models", 70 runs: `trace` on the 5 models at 5 times from
     1e-300 to 1e3, and `fit` and `verify` on the 5 models;
   * "negative values", 18 runs: 9 negative values given as a separate
@@ -73,8 +74,8 @@ SCAN_CLASSES = ("teardrops-footballs", "pillows", "class-c", "spherical")
 SCAN_BOUNDS = (2, 20, 60)
 # The rosters of the benchmark's scan workload.
 BENCH_SCANS = (("teardrops-footballs", 500), ("pillows", 100), ("class-c", 500), ("spherical", 500))
-# A roster past classify.SCAN_MEMBER_LIMIT, which scan refuses.
-REFUSED_SCAN = ("pillows", 200)
+# Rosters past classify.SCAN_MEMBER_LIMIT, which scan refuses.
+REFUSED_SCANS = (("pillows", 200), ("spherical", 150_000))
 MODELS = ("torus", "klein", "pillowcase", "square", "mirror-torus")
 TRACE_TIMES = ("1e-300", "1e-8", "0.01", "1", "1e3")
 # A negative value as its own word, not --option=value.
@@ -131,7 +132,7 @@ def argv_set() -> dict:
         for bound in SCAN_BOUNDS
     ]
     topological += [
-        ["scan", f"--class={name}", f"--bound={bound}"] for name, bound in (*BENCH_SCANS, REFUSED_SCAN)
+        ["scan", f"--class={name}", f"--bound={bound}"] for name, bound in (*BENCH_SCANS, *REFUSED_SCANS)
     ]
     topological += [["tables", f"--which={which}"] for which in (1, 2)]
     flat = [["trace", f"--model={m}", f"--t={t}"] for m in MODELS for t in TRACE_TIMES]
