@@ -1,134 +1,142 @@
-"""Least squares for flat.fit_expansion, in the standard library only.
+"""Exact least squares for flat.fit_expansion, in the standard library only.
 
-One one-sided Jacobi on the columns of the design matrix A, never the
-normal equations: its rotations turn the columns of a power-of-two multiple
-scale * A into orthogonal columns W = scale * A * V, with V orthogonal.  The
-norms of W's columns give A's condition number, and V and W give the
-least-squares solution; one refinement step on an exactly rounded residual
-follows.  flat imports this module on its first fit, so a process that
-samples traces without fitting them never compiles it.
+Every float is an int times a power of two, so the design matrix A and
+the samples b become int vectors, and the normal equations G x = A^T b,
+G = A^T A, hold exactly in ints; exact arithmetic makes their squared
+conditioning harmless.  The solution adj(G) A^T b / det(G) is rounded
+once, by int true division, which Python rounds correctly, and det(G) = 0
+is an exact test for a singular design.  The condition number of A is
+sqrt(lambda_max(G) lambda_max(G^-1)), read from the largest roots of G's
+characteristic polynomial and of its reverse.  A has three columns, one
+per degree of flat.FIT_DEGREES, the last of which, t^0, is ones, so G's
+adjugate and characteristic polynomial are written out.  flat imports
+this module on its first fit, so a process that samples traces without
+fitting them never compiles it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from itertools import chain, combinations
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 
-_EPS = sys.float_info.epsilon
-# Veltkamp's constant 2^27 + 1: hi = u - (u - a) with u = _SPLIT * a and
-# lo = a - hi split a double a into 26-bit halves.
-_SPLIT = 134217729.0
-# The refinement step splits and multiplies design entries, samples and
-# coefficients; below this magnitude none of those products overflows.
-_REFINE_BELOW = 2.0**500
-# Cyclic Jacobi converges quadratically and takes 3 or 4 sweeps on the fit
-# designs, the last of which only checks; the cap only bounds the loop.
-_JACOBI_SWEEPS = 30
+# _largest_root scales the roots to at least 2^(_ROOT_BITS - 2) and stops
+# within 3 units of the largest, a relative error below 2^-54.
+_ROOT_BITS = 58
 
 
-def jacobi(columns) -> tuple:
-    """One-sided Jacobi on the m x n matrix A with the given columns, m >= n.
+def _integers(floats) -> tuple:
+    """(ints, shift): the floats are ints[i] / 2^shift, exactly.
 
-    Returns (w, v, scale, norms) with scale * A * V = W, given by their
-    columns: V orthogonal and W's columns orthogonal to within _EPS of the
-    product of their norms.  norms holds those norms, which over scale are
-    A's singular values, each with a small relative error, the smallest
-    included.  scale is the power of two that brings A's largest entry
-    below 1.  The norms come from math.hypot, which squares no entry: the
-    square of a column near 1e-200 underflows.
-    Equal columns rotate to an exact zero column.
+    math.frexp splits every finite float, subnormals included, into m * 2^e
+    with m * 2^53 an int, so each such int shifted by e - lo, lo the least
+    e, is exact; lo stops at 53, which keeps shift >= 0.
     """
-    scale = 2.0 ** -math.frexp(max(map(abs, chain(*columns))))[1]
-    w = [[a * scale for a in column] for column in columns]
-    v = [[float(i == j) for i in range(len(w))] for j in range(len(w))]
-    norms = [math.hypot(*column) for column in w]
-    pairs = list(combinations(range(len(w)), 2))
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p, q in pairs:
-            wp, wq = w[p], w[q]
-            gamma = sum(map(mul, wp, wq))
-            norm_p, norm_q = norms[p], norms[q]
-            if abs(gamma) <= _EPS * norm_p * norm_q:
-                continue
-            rotated = True
-            # The rotation by the smaller root t of t^2 + 2 zeta t = 1
-            # makes the pair orthogonal.
-            zeta = (norm_q - norm_p) / (2.0 * gamma) * (norm_q + norm_p)
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-            c = 1.0 / math.hypot(1.0, t)
-            s = c * t
-            w[p] = [c * x - s * y for x, y in zip(wp, wq)]
-            w[q] = [s * x + c * y for x, y in zip(wp, wq)]
-            vp, vq = v[p], v[q]
-            v[p] = [c * x - s * y for x, y in zip(vp, vq)]
-            v[q] = [s * x + c * y for x, y in zip(vp, vq)]
-            norms[p] = math.hypot(*w[p])
-            norms[q] = math.hypot(*w[q])
-        if not rotated:
-            break
-    return w, v, scale, norms
+    pairs = list(map(math.frexp, floats))
+    lo = min(min(map(itemgetter(1), pairs)), 53)
+    return [int(m * 2.0**53) << (e - lo) for m, e in pairs], 53 - lo
 
 
-def condition_number(norms) -> float:
-    """sigma_max / sigma_min of A, from jacobi's norms of W's columns.
+def normal_equations(columns, values) -> tuple:
+    """(polynomial, adjugate, moments): A x ~ values as exact normal equations.
 
-    A zero column of W makes A singular and gives inf.
+    A is given by its three columns, the last of which must be ones.  A and
+    values are scaled to ints by one power of two 2^shift, and G = A^T A and
+    moments = A^T values are taken in ints; against the ones column, whose
+    ints are all 2^shift, a dot product is a shifted sum.  polynomial holds
+    the coefficients [c0, c1, c2, 1] of G's characteristic polynomial
+    det(lambda I - G), and adjugate is adj(G), symmetric like G, whose
+    diagonal sums to c1.
     """
-    return max(norms) / min(norms) if min(norms) > 0.0 else math.inf
+    a, b, ones = columns
+    if ones.count(1.0) != len(ones):
+        raise ValueError("the last design column must be ones")
+    m = len(values)
+    ints, shift = _integers(chain(a, b, values))
+    a, b, target = ints[:m], ints[m:2 * m], ints[2 * m:]
+    aa = sum(map(mul, a, a))
+    ab = sum(map(mul, a, b))
+    bb = sum(map(mul, b, b))
+    ac, bc, cc = sum(a) << shift, sum(b) << shift, m << 2 * shift
+    moments = [sum(map(mul, a, target)), sum(map(mul, b, target)), sum(target) << shift]
+    # adj(G) of the symmetric G = [[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]].
+    xa, xb, xc = bb * cc - bc * bc, aa * cc - ac * ac, aa * bb - ab * ab
+    xab, xac, xbc = ac * bc - ab * cc, ab * bc - ac * bb, ab * ac - aa * bc
+    adjugate = [[xa, xab, xac], [xab, xb, xbc], [xac, xbc, xc]]
+    det = aa * xa + ab * xab + ac * xac
+    return [-det, xa + xb + xc, -(aa + bb + cc), 1], adjugate, moments
 
 
-def _pseudo_solve(w, v, scale, norms, b) -> list:
-    """scale V diag(1/sigma^2) W^T b, the least-squares x of A x ~ b.
+def _largest_root(polynomial) -> tuple:
+    """(y, k): y * 2^k lies within 3 * 2^k above the largest root of the cubic.
 
-    sigma is the norm of a column w of W.  Each (w.b) / sigma * (scale / sigma)
-    divides before it multiplies: sigma^2 underflows where sigma is near 1e-200.
+    polynomial holds [c0, c1, c2, c3], c3 > 0, and every root must be real
+    and positive, as for the characteristic polynomial of a positive
+    definite G and its reverse.  The sum of the roots, -c2 / c3, is at most
+    three times the largest; k puts it near 2^_ROOT_BITS, and q(y) =
+    p(2^k y), times a power of two, has int coefficients.  The root of the
+    sum of the squared roots, (q2^2 - 2 q1 q3) / q3^2, bounds the largest
+    root from above, and stays above it in floats once raised by 2^-40.
+    Newton's method runs on ints from that bound, rounded up: above the
+    largest root q is increasing and convex, so the exact step q / q' never
+    passes the root, and neither does the step rounded down.  The loop
+    stops when that rounded step is 0, that is when q / q' < 1, which puts
+    y within 3 of the root; the iterates strictly decrease, so it
+    terminates.
     """
-    coefficients = [
-        sum(map(mul, column, b)) / sigma * (scale / sigma) for column, sigma in zip(w, norms)
-    ]
-    return [sum(map(mul, row, coefficients)) for row in zip(*v)]
+    c0, c1, c2, c3 = polynomial
+    k = (-c2).bit_length() - c3.bit_length() - _ROOT_BITS
+    s = 3 * max(-k, 0)  # q_j = c_j 2^(k j), times 2^(-3 k) where k < 0
+    q0, q1, q2, q3 = c0 << s, c1 << k + s, c2 << 2 * k + s, c3 << 3 * k + s
+    y = math.ceil(math.sqrt((q2 * q2 - 2 * q1 * q3) / (q3 * q3)) * (1.0 + 2.0**-40))
+    while True:
+        # Horner's rule for q(y) and, in step, q'(y).
+        u = q3 * y
+        v = u + q2
+        w = v * y + q1
+        value = w * y + q0
+        if value == 0:  # y is the root; q' may vanish there
+            return y, k
+        step = value // ((u + v) * y + w)
+        if step == 0:
+            return y, k
+        y -= step
 
 
-def exact_residual(values, columns, x) -> list:
-    """values - A x with A given by its columns, each row rounded once.
+def condition_number(polynomial) -> float:
+    """sigma_max / sigma_min of A, from normal_equations' polynomial of G = A^T A.
 
-    Veltkamp's constant splits both factors of each product a * c into
-    26-bit halves whose pairwise products are exact, so Dekker's error term
-    e = a * c - p of the rounded product p is exact too; fsum adds the
-    values and every p and e without error.
+    It is sqrt(lambda_max(G) lambda_max(G^-1)); the roots of the reversed
+    polynomial are the 1 / lambda.  A singular G, det(G) = 0, gives inf,
+    as does a condition past the float range.
     """
-    parts = [values]
-    for column, c in zip(columns, x):
-        c = -c
-        u = _SPLIT * c
-        ch = u - (u - c)
-        cl = c - ch
-        p = [a * c for a in column]
-        # h is the high half of a, bound once per entry.
-        parts += (p, [
-            ((h * ch - q) + h * cl + (a - h) * ch) + (a - h) * cl
-            for a, q in zip(column, p) for h in [_SPLIT * a - (_SPLIT * a - a)]
-        ])
-    return list(map(math.fsum, zip(*parts)))
+    c0, c1, c2, c3 = polynomial
+    if c0 == 0:
+        return math.inf
+    y, k = _largest_root(polynomial)
+    z, l = _largest_root((-c3, -c2, -c1, -c0))
+    e = k + l
+    try:
+        return math.ldexp(math.sqrt(math.ldexp(float(y * z), e % 2)), e // 2)
+    except OverflowError:
+        return math.inf
 
 
-def solve(w, v, scale, norms, columns, values) -> tuple:
+def solve(polynomial, adjugate, moments, columns, values) -> tuple:
     """The least-squares x of A x ~ values, and ||A x - values||_2.
 
-    A is given by its columns and by jacobi's (w, v, scale, norms) of
-    them.  The solution takes one refinement step on the residual rounded
-    once per row, which brings it to within a few ulps of the exact
-    least-squares solution; the step is skipped where an entry reaches
-    _REFINE_BELOW.
+    From normal_equations' output for the same columns and values: each
+    coefficient is adj(G) A^T b / det(G), an exact ratio of ints rounded
+    once.  The residual is summed in floats.  Raises ValueError when a
+    coefficient lies past the float range.
     """
-    x = _pseudo_solve(w, v, scale, norms, values)
-    if max(map(abs, chain(values, x, *columns))) < _REFINE_BELOW:
-        correction = _pseudo_solve(w, v, scale, norms, exact_residual(values, columns, x))
-        x = list(map(float.__add__, x, correction))
-    residual = list(values)
-    for column, c in zip(columns, x):
-        residual = [r - c * a for r, a in zip(residual, column)]
-    return x, math.hypot(*residual)
+    det = -polynomial[0]
+    try:
+        x = [sum(map(mul, row, moments)) / det for row in adjugate]
+    except OverflowError:
+        raise ValueError("a least-squares coefficient exceeds the largest float") from None
+    # Each row is ((b - x0 a0) - x1 a1) - x2 a2, subtracted in doubles.
+    x0, x1, x2 = x
+    return x, math.hypot(*[
+        ((r - x0 * p) - x1 * q) - x2 * u for r, p, q, u in zip(values, *columns)
+    ])

@@ -315,6 +315,8 @@ class FitResult(Record):
 
 # The degrees that fit and verify solve for; no caller chooses others.
 FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
+# The same degrees as the float powers of the design columns t ** d.
+_FIT_POWERS = tuple(map(float, FIT_DEGREES))
 # Largest design-matrix condition number fit_expansion solves for; fixed,
 # not an option.
 FIT_CONDITION_LIMIT = 1e12
@@ -323,31 +325,32 @@ FIT_CONDITION_LIMIT = 1e12
 def fit_expansion(samples: TraceSamples) -> FitResult:
     """Fit sum_d c_d t^d, d in FIT_DEGREES, to the samples by least squares.
 
-    One one-sided Jacobi on the columns of the t^d design matrix, never the
-    normal equations, gives its singular values, hence the condition
-    number, and the solution; one refinement step on the residual rounded
-    once per row then brings the coefficients to within a few ulps of the
-    exact least-squares solution of the sampled data.
-    Raises InsufficientSamples when there are fewer points than degrees and,
+    The t^d design matrix and the samples are floats, so their normal
+    equations hold exactly in ints: the coefficients are the exact
+    least-squares solution of the sampled data, each rounded once to the
+    nearest float, and the condition number is the design matrix's
+    sigma_max / sigma_min to within a few ulps.
+    Raises InsufficientSamples when there are fewer points than degrees,
     before solving, IllConditioned when the condition exceeds
-    FIT_CONDITION_LIMIT or the design matrix is singular.
+    FIT_CONDITION_LIMIT or the design matrix is singular, and ValueError
+    when a coefficient lies past the float range.
     """
     if len(samples.points) < len(FIT_DEGREES):
         raise InsufficientSamples(
             f"{len(samples.points)} samples cannot determine {len(FIT_DEGREES)} coefficients"
         )
     # Imported here, so that a process that fits nothing never compiles it.
-    from ._lstsq import condition_number, jacobi, solve
+    from ._lstsq import condition_number, normal_equations, solve
 
     times, values = zip(*samples.points)
-    columns = [[t**e for t in times] for e in map(float, FIT_DEGREES)]
-    w, v, scale, norms = jacobi(columns)
-    condition = condition_number(norms)
+    columns = [[t**e for t in times] for e in _FIT_POWERS]
+    polynomial, adjugate, moments = normal_equations(columns, values)
+    condition = condition_number(polynomial)
     if not math.isfinite(condition) or condition > FIT_CONDITION_LIMIT:
         raise IllConditioned(
             f"design matrix condition {condition:.3e} exceeds limit {FIT_CONDITION_LIMIT:.3e}"
         )
-    solution, residual = solve(w, v, scale, norms, columns, values)
+    solution, residual = solve(polynomial, adjugate, moments, columns, values)
     return FitResult(
         coefficients=dict(zip(FIT_DEGREES, solution)), residual=residual, condition=condition
     )

@@ -6,25 +6,24 @@ import math
 import sys
 import time
 from fractions import Fraction
-from itertools import combinations, product
 from operator import mul
 
 import mpmath
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbheat.flat
 from orbheat import _lstsq
 from orbheat.flat import (
     FIT_DEGREES,
-    FitResult,
     FlatModel,
     IllConditioned,
     InsufficientSamples,
     TraceSamples,
     brute_force_trace,
     default_grid,
+    degree_label,
     eigenvalue_multiplicities,
     fit_expansion,
     heat_trace,
@@ -390,14 +389,6 @@ def distance(coefficients, reference) -> float:
     return float(max(abs(mpmath.mpf(c) - r) for c, r in zip(coefficients, reference)) / scale)
 
 
-def generic_fit(samples, degrees) -> FitResult:
-    """_lstsq's Jacobi and solve on the t^d columns of any degrees, as fit_expansion runs them."""
-    columns = [[t ** float(d) for t in samples.times] for d in degrees]
-    w, v, scale, norms = _lstsq.jacobi(columns)
-    solution, residual = _lstsq.solve(w, v, scale, norms, columns, samples.values)
-    return FitResult(dict(zip(degrees, solution)), residual, _lstsq.condition_number(norms))
-
-
 def assert_fit_matches_oracle(samples, fit, degrees=FIT_DEGREES):
     numpy = pytest.importorskip("numpy")
     reference, condition = oracle_fit(samples, degrees)
@@ -437,68 +428,94 @@ def test_fit_matches_oracle_on_drawn_grids(model, log_start):
 
 
 def test_fit_matches_oracle_on_synthetic_samples():
+    # The 5 t term lies outside FIT_DEGREES, so the fit leaves a residual.
     ts = geometric_grid(1e-1, 1e-5, 20)
     samples = TraceSamples(tuple((t, 0.3 / t - 0.7 / math.sqrt(t) + 2.0 + 5.0 * t) for t in ts))
-    degrees = (Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1))
-    assert_fit_matches_oracle(samples, generic_fit(samples, degrees), degrees)
-
-
-def test_fit_without_refinement_past_the_refinement_range(monkeypatch):
-    # Samples near 1e200 lie past the range where the refinement's split
-    # products stay finite, so the fit stops at the Jacobi solution.
-    # Squared, these entries would overflow, and the scaled t^0 column's
-    # (~1e-200) would underflow; the Jacobi takes its norms with hypot and
-    # divides by each singular value in turn, so it never forms such a square.
-    ts = geometric_grid(1e-200, 1e-202, 12)
-    samples = TraceSamples(tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts))
-    assert min(samples.values) > _lstsq._REFINE_BELOW
-    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
     fit = fit_expansion(samples)
-    reference, condition = oracle_fit(samples, FIT_DEGREES)
-    assert abs(fit.condition - condition) <= 1e-12 * condition
-    assert fit.coefficients[Fraction(-1)] == pytest.approx(float(reference[0]), rel=1e-12)
+    assert fit.residual > 0.0
+    assert_fit_matches_oracle(samples, fit)
 
 
-# Zero or 1e-100 <= |a| <= 1e100: no product of two of them underflows.
-IN_RANGE = st.floats(-1e100, 1e100).filter(lambda a: a == 0 or abs(a) >= 1e-100)
+# === Fit against exact least squares ===
+
+def exact_least_squares(samples) -> list:
+    """The least-squares coefficients at FIT_DEGREES of the sampled floats, exactly.
+
+    The design entries t ** d are the same floats the fit uses; the normal
+    equations and their elimination are in Fractions, and each coefficient
+    is rounded once, by float(Fraction), to the nearest float.
+    """
+    columns = [[Fraction(t ** float(d)) for t in samples.times] for d in FIT_DEGREES]
+    values = [Fraction(v) for v in samples.values]
+    rows = [
+        [sum(map(mul, p, q)) for q in columns] + [sum(map(mul, p, values))]
+        for p in columns
+    ]
+    n = len(rows)
+    for i in range(n):
+        pivot = next(r for r in range(i, n) if rows[r][i])
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        for r in range(n):
+            if r != i:
+                f = rows[r][i] / rows[i][i]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[i])]
+    return [float(row[n] / row[i]) for i, row in enumerate(rows)]
+
+
+def float_residual(samples, coefficients) -> float:
+    """hypot of the rows v - c_0 a_0 - c_1 a_1 - c_2 a_2, each subtracted in doubles."""
+    rows = []
+    for t, v in samples.points:
+        for d, c in zip(FIT_DEGREES, coefficients):
+            v -= c * t ** float(d)
+        rows.append(v)
+    return math.hypot(*rows)
+
+
+def assert_fit_is_exact(samples, fit):
+    expected = exact_least_squares(samples)
+    assert list(fit.coefficients) == list(FIT_DEGREES)
+    assert list(fit.coefficients.values()) == expected
+    assert fit.residual == float_residual(samples, expected)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    values=st.lists(IN_RANGE, min_size=3, max_size=3),
-    column=st.lists(IN_RANGE, min_size=3, max_size=3),
-    x=IN_RANGE,
+    model=st.sampled_from(ALL_MODELS),
+    log_start=st.floats(min_value=-6.5, max_value=-0.5),
 )
-def test_exact_residual_is_rounded_once(values, column, x):
-    exact = [Fraction(v) - Fraction(a) * Fraction(x) for v, a in zip(values, column)]
-    assert _lstsq.exact_residual(values, [column], [x]) == [float(e) for e in exact]
+def test_fit_equals_exact_least_squares_on_drawn_grids(model, log_start):
+    samples = sample_trace(model, default_grid(10.0**log_start))
+    assert_fit_is_exact(samples, fit_expansion(samples))
 
 
-@settings(max_examples=100, deadline=None)
+# Sample values of any sign over 200 decades, at times over 40 decades.
+SAMPLE_VALUES = st.floats(-1e100, 1e100).filter(lambda v: v == 0 or abs(v) > 1e-100)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    rows=st.integers(2, 5).flatmap(
-        lambda n: st.lists(
-            st.lists(st.floats(-1e8, 1e8).filter(lambda a: abs(a) > 1e-8), min_size=n, max_size=n),
-            min_size=n - 1,
-            max_size=n - 1,
-        )
-    ),
-    weight=st.floats(0.1, 10.0),
+    times=st.lists(st.floats(1e-20, 1e20), min_size=3, max_size=12, unique=True),
+    values=st.lists(SAMPLE_VALUES, min_size=12, max_size=12),
 )
-def test_jacobi_condition_of_dependent_rows_is_huge(rows, weight):
-    # Taken as the columns of a square matrix, the last row is (nearly) the
-    # weighted sum of the others, so sigma_min is at most rounding; the
-    # rotations must end without a math error.
-    dependent = [weight * sum(column) for column in zip(*rows)]
-    _, _, _, norms = _lstsq.jacobi([*rows, dependent])
-    assert _lstsq.condition_number(norms) > 1e12
+def test_fit_equals_exact_least_squares_on_drawn_samples(times, values):
+    samples = TraceSamples(tuple(zip(sorted(times, reverse=True), values)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
+        try:
+            fit = fit_expansion(samples)
+        except IllConditioned:
+            # With no limit, only an exactly singular design is refused.
+            assert exact_rank_of_design(samples) < len(FIT_DEGREES)
+            return
+    assert_fit_is_exact(samples, fit)
 
 
-def exact_rank(vectors) -> int:
-    """The rank of the given float vectors, by elimination in Fractions."""
-    rows = [list(map(Fraction, vector)) for vector in vectors]
+def exact_rank_of_design(samples) -> int:
+    """The rank of the t ** d design matrix, by elimination in Fractions."""
+    rows = [[Fraction(t ** float(d)) for d in FIT_DEGREES] for t in samples.times]
     rank = 0
-    for j in range(len(rows[0])):
+    for j in range(len(FIT_DEGREES)):
         pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
         if pivot is None:
             continue
@@ -510,37 +527,70 @@ def exact_rank(vectors) -> int:
     return rank
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    columns=st.integers(2, 5).flatmap(
-        lambda n: st.integers(n, 12).flatmap(
-            lambda m: st.lists(
-                st.lists(st.floats(-1e8, 1e8).filter(lambda a: abs(a) > 1e-8), min_size=m, max_size=m),
-                min_size=n,
-                max_size=n,
-            )
-        )
-    )
+def test_exactly_representable_data_is_fit_bit_for_bit():
+    # At t = 4^-j, t^-1 = 4^j and t^-1/2 = 2^j are exact, and so is each
+    # sample a 4^j + b 2^j + c: the exact least-squares solution is (a, b, c).
+    a, b, c = 0.375, -1.25, 3.0625
+    samples = TraceSamples(tuple((4.0**-j, a * 4.0**j + b * 2.0**j + c) for j in range(12)))
+    fit = fit_expansion(samples)
+    assert list(fit.coefficients.values()) == [a, b, c]
+    assert fit.residual == 0.0
+
+
+def test_fit_without_refinement_past_the_refinement_range(monkeypatch):
+    # Samples near 1e200: squared, they would overflow a double, and the
+    # t^0 column's squares beside them would vanish; in ints the normal
+    # equations hold exactly, and the fit is the exact solution rounded once.
+    ts = geometric_grid(1e-200, 1e-202, 12)
+    samples = TraceSamples(tuple((t, 0.25 / t + 1.5 / math.sqrt(t) - 2.0) for t in ts))
+    assert min(samples.values) > 1e199
+    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
+    fit = fit_expansion(samples)
+    assert_fit_is_exact(samples, fit)
+    _, condition = oracle_fit(samples, FIT_DEGREES)
+    assert abs(fit.condition - condition) <= 1e-12 * condition
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        [5e-324, 2.2250738585072009e-308, 1.0],
+        [1e-300, 1.0, 1e300, -1e300, 0.0, -0.0],
+        [sys.float_info.max, 5e-324, -sys.float_info.max],
+        [0.1, 1 / 3, 1e-5],
+    ],
+    ids=["subnormal", "span-1e600", "full-range", "plain"],
 )
-def test_jacobi_decomposition_of_full_rank_designs(columns):
-    assume(exact_rank(columns) == len(columns))
-    w, v, scale, _ = _lstsq.jacobi(columns)
-    n, m = len(columns), len(columns[0])
-    # Each column of V takes n - 1 rotations a sweep, each adding about an
-    # ulp of error: over 4000 drawn designs the largest was 2 ulps at n = 2
-    # and 9 at n = 5.
-    for i, j in product(range(n), repeat=2):
-        assert abs(math.fsum(map(mul, v[i], v[j])) - (i == j)) <= 4 * n * EPS
-    # scale A V, in exact arithmetic, is W up to the rotations' rounding.
-    norm = math.hypot(*(scale * a for column in columns for a in column))
-    for vj, wj in zip(v, w):
-        exact = (scale * sum(map(mul, map(Fraction, vj), map(Fraction, row))) for row in zip(*columns))
-        assert math.hypot(*(float(e - Fraction(x)) for e, x in zip(exact, wj))) <= 2 * n * EPS * norm
-    # The sweeps stop when each computed w_p.w_q is within EPS |w_p| |w_q|;
-    # that m-term dot product itself rounds by at most m EPS |w_p| |w_q|.
-    for wp, wq in combinations(w, 2):
-        dot = sum(map(mul, map(Fraction, wp), map(Fraction, wq)))
-        assert abs(dot) <= (m + 1) * EPS * math.hypot(*wp) * math.hypot(*wq)
+def test_floats_convert_to_ints_exactly(vector):
+    ints, shift = _lstsq._integers(vector)
+    assert [Fraction(n, 2**shift) for n in ints] == list(map(Fraction, vector))
+
+
+def test_fit_at_subnormal_times_and_over_600_decades(monkeypatch):
+    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
+    # Subnormal times whose t^-1 stays below the largest float: the
+    # condition lies past the float range, which reads as inf, and the
+    # exact solve beyond that check is still the exact least squares.
+    subnormal = TraceSamples(((2e-308, 3.0), (1.5e-308, 2.0), (1e-308, 1.0), (6e-309, 0.5)))
+    assert all(t < sys.float_info.min for t in subnormal.times)
+    with pytest.raises(IllConditioned, match="condition inf"):
+        fit_expansion(subnormal)
+    columns = [[t ** float(d) for t in subnormal.times] for d in FIT_DEGREES]
+    system = _lstsq.normal_equations(columns, subnormal.values)
+    coefficients, residual = _lstsq.solve(*system, columns, subnormal.values)
+    assert coefficients == exact_least_squares(subnormal)
+    assert residual == float_residual(subnormal, coefficients)
+    # Times from 1e300 to 1e-300: each design column spans 600 decades.
+    spans = TraceSamples(tuple((10.0 ** (300 - 120 * i), 1.0 + i) for i in range(6)))
+    assert_fit_is_exact(spans, fit_expansion(spans))
+
+
+def test_a_coefficient_past_the_float_range_is_a_value_error():
+    # t^-1, t^-1/2 and 1 at t = 1, 1/4, 1/16 are (1, 4, 16), (1, 2, 4) and
+    # ones; these three samples interpolate with c_-1/2 = -2.5 * 1.5e308.
+    samples = TraceSamples(((1.0, 1.5e308), (0.25, 0.0), (0.0625, 1.5e308)))
+    with pytest.raises(ValueError, match="exceeds the largest float"):
+        fit_expansion(samples)
 
 
 def test_fit_insufficient_samples_boundary():
@@ -562,17 +612,20 @@ def test_fit_condition_limit_boundary_is_checked_before_solving(monkeypatch):
     def no_solve(*args):
         raise AssertionError("solved an ill-conditioned design")
 
-    # Every solve, in _lstsq.solve or not, goes through _pseudo_solve.
-    monkeypatch.setattr(_lstsq, "_pseudo_solve", no_solve)
+    # fit_expansion reads _lstsq.solve at each call, and solves nowhere else.
+    monkeypatch.setattr(_lstsq, "solve", no_solve)
     monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.nextafter(condition, 0.0))
     with pytest.raises(IllConditioned):
+        fit_expansion(samples)
+    monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", condition)
+    with pytest.raises(AssertionError, match="ill-conditioned"):
         fit_expansion(samples)
 
 
 def test_fit_rank_deficient_designs_are_ill_conditioned(monkeypatch):
     # At 1, 1 - 2^-53 and 1 - 2^-52, t^-1 and t^-1/2 round to the same
-    # floats, (1, 1, 1 + 2^-52): two equal columns rotate to a zero column,
-    # so sigma_min is 0, an infinite condition.
+    # floats, (1, 1, 1 + 2^-52): two equal columns make det(A^T A) exactly
+    # 0, an infinite condition.
     ts = (1.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52)
     samples = TraceSamples(tuple((t, 1.0 / t) for t in ts))
     with monkeypatch.context() as patch:
@@ -654,95 +707,42 @@ def test_verify_all_models_clean_in_asymptotic_regime(model):
 
 # === Pinned fits and reports ===
 
-# fit_expansion(sample_trace(model, default_grid(start))) as the
-# fit computed it before its per-call cost was cut: the coefficients at
-# degrees -1, -1/2 and 0, the residual and the condition.  The cut changed
-# no floating-point operation, so every value must stay equal, not close.
-PINNED_FITS = {
-    ("torus", 1e-2): ((0.07957747154609335, -1.3509201575163519e-11, 2.67502734790764e-10), 3.6118655674895034e-10, 7962.767493649914),
-    ("torus", 1e-3): ((0.07957747154594774, -1.2846468448026691e-14, 4.845379037225917e-13), 9.154681359881999e-13, 79493.31529365819),
-    ("klein", 1e-2): ((0.03979064178355249, -0.0001771525561202301, 0.0035227072943841376), 0.004302949017076912, 7962.767493649914),
-    ("klein", 1e-3): ((0.03978873577297387, -6.423234224013346e-15, 2.4226895186129586e-13), 4.577340679940999e-13, 79493.31529365819),
-    ("pillowcase", 1e-2): ((0.039788735773046674, -6.754600787581759e-12, 0.5000000001337513), 1.8059323713703022e-10, 7962.767493649914),
-    ("pillowcase", 1e-3): ((0.03978873577297387, -6.423234224013346e-15, 0.5000000000002423), 4.577683121094685e-13, 79493.31529365819),
-    ("square", 1e-2): ((0.01989436788653625, 0.14104739588236428, 0.250000000090586), 1.2230366474569353e-10, 7962.767493649914),
-    ("square", 1e-3): ((0.019894367886486932, 0.14104739588693693, 0.25000000000007955), 1.0938007164950089e-13, 79493.31529365819),
-    ("mirror-torus", 1e-2): ((0.03978873577305959, 0.141047395878987, 1.5746171688759757e-10), 2.1260095312050713e-10, 7962.767493649914),
-    ("mirror-torus", 1e-3): ((0.03978873577297387, 0.1410473958869337, 1.9937727403624555e-13), 3.1505611267040107e-13, 79493.31529365819),
-}
+# The bench grids, default_grid(start) for each model at both starts.  A
+# correctly rounded solution is unique, so equality with the exact least
+# squares pins every bit of each coefficient.
+BENCH_GRIDS = [(model.value, start) for model in ALL_MODELS for start in (1e-2, 1e-3)]
 
-# verify_model(model, times=default_grid(start)) from the same code: per
-# degree label, (fitted, predicted, abs_err, rel_err).
-PINNED_REPORTS = {
-    ("torus", 1e-2): {
-        "-1": (0.07957747154609335, 0.07957747154594767, 1.4567513861862835e-13, 1.8306077811798303e-12),
-        "-0.5": (-1.3509201575163519e-11, 0.0, 1.3509201575163519e-11, 1.3509201575163519e-11),
-        "0": (2.67502734790764e-10, 0.0, 2.67502734790764e-10, 2.67502734790764e-10),
-    },
-    ("torus", 1e-3): {
-        "-1": (0.07957747154594774, 0.07957747154594767, 6.938893903907228e-17, 8.719671245021579e-16),
-        "-0.5": (-1.2846468448026691e-14, 0.0, 1.2846468448026691e-14, 1.2846468448026691e-14),
-        "0": (4.845379037225917e-13, 0.0, 4.845379037225917e-13, 4.845379037225917e-13),
-    },
-    ("klein", 1e-2): {
-        "-1": (0.03979064178355249, 0.039788735772973836, 1.9060105786519732e-06, 4.790327065245975e-05),
-        "-0.5": (-0.0001771525561202301, 0.0, 0.0001771525561202301, 0.0001771525561202301),
-        "0": (0.0035227072943841376, 0.0, 0.0035227072943841376, 0.0035227072943841376),
-    },
-    ("klein", 1e-3): {
-        "-1": (0.03978873577297387, 0.039788735772973836, 3.469446951953614e-17, 8.719671245021579e-16),
-        "-0.5": (-6.423234224013346e-15, 0.0, 6.423234224013346e-15, 6.423234224013346e-15),
-        "0": (2.4226895186129586e-13, 0.0, 2.4226895186129586e-13, 2.4226895186129586e-13),
-    },
-    ("pillowcase", 1e-2): {
-        "-1": (0.039788735773046674, 0.039788735772973836, 7.283756930931418e-14, 1.8306077811798303e-12),
-        "-0.5": (-6.754600787581759e-12, 0.0, 6.754600787581759e-12, 6.754600787581759e-12),
-        "0": (0.5000000001337513, 0.5, 1.3375134333415417e-10, 2.6750268666830834e-10),
-    },
-    ("pillowcase", 1e-3): {
-        "-1": (0.03978873577297387, 0.039788735772973836, 3.469446951953614e-17, 8.719671245021579e-16),
-        "-0.5": (-6.423234224013346e-15, 0.0, 6.423234224013346e-15, 6.423234224013346e-15),
-        "0": (0.5000000000002423, 0.5, 2.4225066397320916e-13, 4.845013279464183e-13),
-    },
-    ("square", 1e-2): {
-        "-1": (0.01989436788653625, 0.019894367886486918, 4.933206620982844e-14, 2.4797001086592365e-12),
-        "-0.5": (0.14104739588236428, 0.14104739588693907, 4.57478499527042e-12, 3.243438112772732e-11),
-        "0": (0.250000000090586, 0.25, 9.058598315903055e-11, 3.623439326361222e-10),
-    },
-    ("square", 1e-3): {
-        "-1": (0.019894367886486932, 0.019894367886486918, 1.3877787807814457e-17, 6.975736996017264e-16),
-        "-0.5": (0.14104739588693693, 0.14104739588693907, 2.1371793224034263e-15, 1.5152206880278377e-14),
-        "0": (0.25000000000007955, 0.25, 7.954747971439247e-14, 3.1818991885756986e-13),
-    },
-    ("mirror-torus", 1e-2): {
-        "-1": (0.03978873577305959, 0.039788735772973836, 8.575085086448553e-14, 2.1551539449195334e-12),
-        "-0.5": (0.141047395878987, 0.14104739588693907, 7.952083436180146e-12, 5.637880363671787e-11),
-        "0": (1.5746171688759757e-10, 0.0, 1.5746171688759757e-10, 1.5746171688759757e-10),
-    },
-    ("mirror-torus", 1e-3): {
-        "-1": (0.03978873577297387, 0.039788735772973836, 3.469446951953614e-17, 8.719671245021579e-16),
-        "-0.5": (0.1410473958869337, 0.14104739588693907, 5.35682609381638e-15, 3.797890815446398e-14),
-        "0": (1.9937727403624555e-13, 0.0, 1.9937727403624555e-13, 1.9937727403624555e-13),
-    },
+# predicted_expansion's floats at degrees -1, -1/2 and 0.
+PINNED_PREDICTIONS = {
+    "torus": (0.07957747154594767, 0.0, 0.0),
+    "klein": (0.039788735772973836, 0.0, 0.0),
+    "pillowcase": (0.039788735772973836, 0.0, 0.5),
+    "square": (0.019894367886486918, 0.14104739588693907, 0.25),
+    "mirror-torus": (0.039788735772973836, 0.14104739588693907, 0.0),
 }
 REPORT_FIELDS = ("fitted", "predicted", "abs_err", "rel_err")
 
 
-@pytest.mark.parametrize("model, start", PINNED_FITS)
+@pytest.mark.parametrize("model, start", BENCH_GRIDS)
 def test_fit_equals_pinned_values(model, start):
-    fit = fit_expansion(sample_trace(FlatModel(model), default_grid(start)))
-    coefficients, residual, condition = PINNED_FITS[model, start]
-    assert list(fit.coefficients.items()) == list(zip(FIT_DEGREES, coefficients))
-    assert (fit.residual, fit.condition) == (residual, condition)
+    samples = sample_trace(FlatModel(model), default_grid(start))
+    fit = fit_expansion(samples)
+    assert_fit_is_exact(samples, fit)
+    # 7962.77 at 1e-2 and 79493.3 at 1e-3, within 1e-12 of a 50-digit SVD.
+    _, condition = oracle_fit(samples, FIT_DEGREES)
+    assert abs(fit.condition - condition) <= 1e-12 * condition
 
 
-@pytest.mark.parametrize("model, start", PINNED_REPORTS)
+@pytest.mark.parametrize("model, start", BENCH_GRIDS)
 def test_verify_equals_pinned_reports(model, start):
-    report = verify_model(FlatModel(model), times=default_grid(start))
-    expected = {
-        label: dict(zip(REPORT_FIELDS, values))
-        for label, values in PINNED_REPORTS[model, start].items()
-    }
+    times = default_grid(start)
+    report = verify_model(FlatModel(model), times=times)
+    fitted = exact_least_squares(sample_trace(FlatModel(model), times))
+    expected = {}
+    for d, value, target in zip(FIT_DEGREES, fitted, PINNED_PREDICTIONS[model]):
+        abs_err = abs(value - target)
+        rel_err = abs_err / abs(target) if target != 0 else abs_err
+        expected[degree_label(d)] = dict(zip(REPORT_FIELDS, (value, target, abs_err, rel_err)))
     assert report == expected
     assert list(report) == list(expected)
 
@@ -777,6 +777,6 @@ def test_mutating_a_result_leaves_the_next_call_unchanged():
     expansion.coefficients[Fraction(-1)] = 123.0
     assert predicted_expansion(model).coefficients == coefficients
     assert verify_model(model, times=times) == expected
-    again = fit_expansion(sample_trace(model, times))
-    assert list(again.coefficients.values()) == list(PINNED_FITS["square", 1e-3][0])
+    samples = sample_trace(model, times)
+    assert list(fit_expansion(samples).coefficients.values()) == exact_least_squares(samples)
 
