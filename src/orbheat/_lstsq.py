@@ -131,8 +131,9 @@ def solve(polynomial, adjugate, moments, columns, values) -> tuple:
     coefficient lies past the float range.
     """
     det = -polynomial[0]
+    h0, h1, h2 = moments
     try:
-        x = [sum(map(mul, row, moments)) / det for row in adjugate]
+        x = [(p * h0 + q * h1 + r * h2) / det for p, q, r in adjugate]
     except OverflowError:
         raise ValueError("a least-squares coefficient exceeds the largest float") from None
     # Each row is ((b - x0 a0) - x1 a1) - x2 a2, subtracted in doubles.

@@ -340,17 +340,17 @@ def fit_expansion(samples: TraceSamples) -> FitResult:
             f"{len(samples.points)} samples cannot determine {len(FIT_DEGREES)} coefficients"
         )
     # Imported here, so that a process that fits nothing never compiles it.
-    from ._lstsq import condition_number, normal_equations, solve
+    from . import _lstsq
 
     times, values = zip(*samples.points)
     columns = [[t**e for t in times] for e in _FIT_POWERS]
-    polynomial, adjugate, moments = normal_equations(columns, values)
-    condition = condition_number(polynomial)
+    polynomial, adjugate, moments = _lstsq.normal_equations(columns, values)
+    condition = _lstsq.condition_number(polynomial)
     if not math.isfinite(condition) or condition > FIT_CONDITION_LIMIT:
         raise IllConditioned(
             f"design matrix condition {condition:.3e} exceeds limit {FIT_CONDITION_LIMIT:.3e}"
         )
-    solution, residual = solve(polynomial, adjugate, moments, columns, values)
+    solution, residual = _lstsq.solve(polynomial, adjugate, moments, columns, values)
     return FitResult(
         coefficients=dict(zip(FIT_DEGREES, solution)), residual=residual, condition=condition
     )
