@@ -20,8 +20,8 @@ import math
 from itertools import chain
 from operator import itemgetter, mul
 
-# _largest_root scales the roots to at least 2^(_ROOT_BITS - 2) and stops
-# within 3 units of the largest, a relative error below 2^-54.
+# _largest_root scales the largest root to above 2^(_ROOT_BITS - 3) and
+# stops within 3 units of it: a relative error below 2^-53.
 _ROOT_BITS = 58
 
 

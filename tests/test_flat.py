@@ -566,6 +566,15 @@ def test_floats_convert_to_ints_exactly(vector):
     assert [Fraction(n, 2**shift) for n in ints] == list(map(Fraction, vector))
 
 
+def test_normal_equations_need_a_last_column_of_ones():
+    # The solver reads the t^0 column of FIT_DEGREES as ones without
+    # multiplying by it, so any other last column is refused.
+    assert FIT_DEGREES[-1] == 0
+    columns = [[1.0, 2.0, 4.0], [1.0, 1.5, 2.0], [1.0, 1.0, 2.0]]
+    with pytest.raises(ValueError, match="last design column must be ones"):
+        _lstsq.normal_equations(columns, [1.0, 2.0, 3.0])
+
+
 def test_fit_at_subnormal_times_and_over_600_decades(monkeypatch):
     monkeypatch.setattr(orbheat.flat, "FIT_CONDITION_LIMIT", math.inf)
     # Subnormal times whose t^-1 stays below the largest float: the
