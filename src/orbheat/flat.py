@@ -332,8 +332,10 @@ def fit_expansion(samples: TraceSamples) -> FitResult:
     sigma_max / sigma_min to within a few ulps.
     Raises InsufficientSamples when there are fewer points than degrees,
     before solving, IllConditioned when the condition exceeds
-    FIT_CONDITION_LIMIT or the design matrix is singular, and ValueError
-    when a coefficient lies past the float range.
+    FIT_CONDITION_LIMIT or the design matrix is singular, and ValueError,
+    after the InsufficientSamples check, when a sample time is so small
+    (below about 5.6e-309) that its t^-1 lies past the float range, or
+    when a coefficient does.
     """
     if len(samples.points) < len(FIT_DEGREES):
         raise InsufficientSamples(
@@ -343,7 +345,13 @@ def fit_expansion(samples: TraceSamples) -> FitResult:
     from . import _lstsq
 
     times, values = zip(*samples.points)
-    columns = [[t**e for t in times] for e in _FIT_POWERS]
+    try:
+        columns = [[t**e for t in times] for e in _FIT_POWERS]
+    except OverflowError:
+        # t^-1 grows as t shrinks, so the least time overflows if any does.
+        raise ValueError(
+            f"sample time {min(times)!r} is too small: its t^-1 exceeds the largest float"
+        ) from None
     polynomial, adjugate, moments = _lstsq.normal_equations(columns, values)
     condition = _lstsq.condition_number(polynomial)
     if not math.isfinite(condition) or condition > FIT_CONDITION_LIMIT:

@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import types
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+import bench_pairs
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Ten parent runs with median 104.5 and interquartile range 4.5.
 PARENT = [100.0 + i for i in range(10)]
@@ -105,7 +103,7 @@ def test_fewer_than_two_pairs_exit_before_any_run(monkeypatch, capsys, pairs, ac
     def extract(rev, into):
         raise Extracted
 
-    monkeypatch.chdir(_PATH.parents[1])
+    monkeypatch.chdir(ROOT)
     monkeypatch.setattr(bench_pairs, "extract", extract)
     argv = ["--parent", "HEAD", "--change", "HEAD", "--out", "unused.json", "--pairs", pairs]
     if accepted:
@@ -121,15 +119,16 @@ def test_fewer_than_two_pairs_exit_before_any_run(monkeypatch, capsys, pairs, ac
 def test_main_reads_the_benchmark_from_the_repository_root(monkeypatch, tmp_path):
     calls = []
 
-    def run_pairs(args, work, workloads, seconds, declared):
+    def run_pairs(args, sides, commits, workloads, seconds, declared):
+        assert commits["parent"] == commits["change"]
         calls.append((workloads, seconds, sorted(declared)))
         return {"workloads": {}}
 
-    monkeypatch.chdir(_PATH.parents[1] / "tests")
+    monkeypatch.chdir(ROOT / "tests")
     monkeypatch.setattr(bench_pairs, "run_pairs", run_pairs)
     out = tmp_path / "bench.json"
     assert bench_pairs.main(["--parent", "HEAD", "--change", "HEAD", "--out", str(out)]) == 0
-    declared = json.loads((_PATH.parents[1] / "BENCHMARK.json").read_text())
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     assert calls == [(
         [w["name"] for w in declared["workloads"]],
         declared["run_seconds"],
@@ -146,11 +145,29 @@ def test_extract_runs_git_at_the_repository_root(monkeypatch, tmp_path):
         calls.append((argv[:2], cwd))
         return types.SimpleNamespace(stdout="abc123\n" if argv[1] == "rev-parse" else b"")
 
-    monkeypatch.chdir(_PATH.parents[1] / "tests")
+    monkeypatch.chdir(ROOT / "tests")
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     assert bench_pairs.extract("HEAD", tmp_path / "tree") == "abc123"
-    root = _PATH.parents[1]
-    assert calls[:2] == [(["git", "rev-parse"], root), (["git", "archive"], root)]
+    assert calls[:2] == [(["git", "rev-parse"], ROOT), (["git", "archive"], ROOT)]
+
+
+def test_trees_extracts_both_sides_and_removes_them_on_exit(monkeypatch):
+    extracted = []
+
+    def extract(rev, into):
+        into.mkdir(parents=True)
+        extracted.append((rev, into.name))
+        return f"sha-{rev}"
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    with pytest.raises(KeyError):
+        with bench_pairs.trees("p", "c") as (paths, commits):
+            assert extracted == [("p", "parent"), ("c", "change")]
+            assert commits == {"parent": "sha-p", "change": "sha-c"}
+            assert paths["parent"].parent == paths["change"].parent
+            assert all(path.is_dir() for path in paths.values())
+            raise KeyError("the body failed")
+    assert not paths["parent"].parent.exists()
 
 
 RUN_STDOUT = """environment: {"python": "3.11.7", "src_sha256": "abc"}
@@ -191,11 +208,12 @@ def test_report_holds_each_run_per_kind_medians(monkeypatch, tmp_path):
         result = {"metrics": {"op_p50_ms": {"unit": "ms", "value": value}}, "failed": 0}
         return result, {}, {"verify": {"p50_ms": value + seed, "n": 2}}, 20.0 + seed
 
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: rev)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    args = types.SimpleNamespace(parent="p", change="c", pairs=2, seed0=10)
+    args = types.SimpleNamespace(pairs=2, seed0=10)
+    sides = {side: tmp_path / side for side in ("parent", "change")}
     declared = {"op_p50_ms": {"better": "lower", "bound": 0.25}}
-    report = bench_pairs.run_pairs(args, tmp_path, ["spectra"], 20, declared)
+    report = bench_pairs.run_pairs(args, sides, {"parent": "p", "change": "c"}, ["spectra"], 20, declared)
+    assert report["commits"] == {"parent": "p", "change": "c"}
     assert calls == [("parent", 10), ("change", 10), ("change", 11), ("parent", 11)]
     assert report["workloads"]["spectra"]["op_kinds"] == {
         "parent": [{"verify": {"p50_ms": 11.0, "n": 2}}, {"verify": {"p50_ms": 12.0, "n": 2}}],

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import contextlib
 import shutil
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))  # expansion_diff imports bench_pairs beside it
+import bench_pairs
+import expansion_diff
 
-import expansion_diff  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_argv_set_is_the_documented_product():
@@ -70,7 +69,7 @@ def test_a_tree_against_itself_differs_nowhere(monkeypatch, capsys):
         shutil.copytree(ROOT / "src", into / "src", ignore=shutil.ignore_patterns("__pycache__"))
         return rev
 
-    monkeypatch.setattr(expansion_diff, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "extract", extract)
     assert expansion_diff.main(["--parent", "HEAD", "--change", "HEAD"]) == 0
     assert extracted == ["HEAD", "HEAD"]
     assert capsys.readouterr().out == "0 of 11718 argv differ\n"
@@ -80,7 +79,7 @@ def test_a_differing_run_is_printed_with_both_sides(monkeypatch, capsys):
     monkeypatch.setattr(
         expansion_diff, "argv_set", lambda: {"topological": [["c", "2,3,5"], ["chi", "2,3,5"]]}
     )
-    monkeypatch.setattr(expansion_diff, "extract", lambda rev, into: into.mkdir())
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, into: into.mkdir())
     monkeypatch.setattr(expansion_diff, "start", lambda tree, argvs: contextlib.nullcontext(tree.name))
     outputs = {
         "parent": [(0, "271/30\n", ""), (0, "1/30\n", "")],

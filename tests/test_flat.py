@@ -602,6 +602,16 @@ def test_a_coefficient_past_the_float_range_is_a_value_error():
         fit_expansion(samples)
 
 
+def test_a_time_whose_inverse_overflows_is_a_value_error():
+    # 1e-310 and 1e-315 lie below 1 / 1.8e308, so their t^-1 overflows.
+    samples = TraceSamples(((1e-300, 1.0), (1e-310, 2.0), (1e-315, 3.0)))
+    with pytest.raises(ValueError, match=r"sample time 1e-315 is too small") as error:
+        fit_expansion(samples)
+    assert not isinstance(error.value, InsufficientSamples)
+    with pytest.raises(InsufficientSamples):  # checked first
+        fit_expansion(TraceSamples(samples.points[1:]))
+
+
 def test_fit_insufficient_samples_boundary():
     ts = geometric_grid(1e-2, 1e-3, 3)
     samples = TraceSamples(tuple((t, 2.0 / t + 1.0) for t in ts))

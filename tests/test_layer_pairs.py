@@ -8,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "tools"))  # layer_pairs imports bench_pairs beside it
+import layer_pairs
 
-import layer_pairs  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -47,52 +46,92 @@ def test_each_layer_runs_one_pass_on_the_same_inputs(two_loads):
     assert len(fits_a) == 10
     assert [f.coefficients for f in fits_a] == [f.coefficients for f in fits_b]
     assert a["verify_model"]() == b["verify_model"]()
-    assert len(a["heat_trace"]()) == 5 * 14
+    assert len(a["heat_trace"]()) == 5 * 303
     assert len(a["collision_groups"]()) > 0
 
 
-def test_summary_reads_ratios_and_wins():
-    result = layer_pairs.summary([1.0, 3.0, 2.0], [2.0, 2.0, 2.0])
-    assert result["values"] == [0.5, 1.5, 1.0]
-    assert (result["median"], result["faster_pairs"]) == (1.0, 1)
-
-
 def run_fake_pairs(monkeypatch, seconds):
-    """run_pairs over one layer whose pair-i time on each side is seconds[side][i]."""
-    times = {side: iter(values) for side, values in seconds.items()}
-    monkeypatch.setattr(layer_pairs, "layers", lambda name, seed: {"fit_expansion": lambda: name})
-    monkeypatch.setattr(layer_pairs, "best_time", lambda call: next(times[call().split("_")[1]]))
+    """run_pairs over layers whose pair-i time on each side is seconds[layer][side][i].
+
+    Returns the report and the sides in the order they were timed.
+    """
+    times = {(layer, side): iter(values) for layer, by_side in seconds.items()
+             for side, values in by_side.items()}
+    timed = []
+
+    def layers(name, seed):
+        side = name.removeprefix("orbheat_")
+        return {layer: (lambda layer=layer: (layer, side)) for layer in seconds}
+
+    def best_time(call):
+        timed.append(call()[1])
+        return next(times[call()])
+
+    monkeypatch.setattr(layer_pairs, "layers", layers)
+    monkeypatch.setattr(layer_pairs, "best_time", best_time)
     packages = {side: f"orbheat_{side}" for side in layer_pairs.SIDES}
-    return layer_pairs.run_pairs(packages, 3, 31)["fit_expansion"]
+    pairs = len(next(iter(seconds.values()))["parent"])
+    return layer_pairs.run_pairs(packages, pairs, 31), timed
 
 
-def test_run_pairs_reports_ratios_against_the_null_side(monkeypatch):
-    report = run_fake_pairs(monkeypatch, {
-        "parent": [2.0, 2.0, 2.0], "change": [1.0, 1.0, 1.0], "null": [0.9, 1.1, 1.0],
-    })
-    assert report["seconds"]["change"] == [1.0, 1.0, 1.0]
-    assert report["ratio"]["values"] == [0.5] * 3
-    assert report["ratio"]["faster_pairs"] == 3
-    assert report["null_ratio"]["values"] == [0.9, 1.1, 1.0]
-    assert report["within_null_spread"] is False
+def test_recorded_seconds_read_the_recorded_verdicts(monkeypatch):
+    # BENCH_31_layers.json, timed with an earlier null side: its change
+    # against its parent, and its null side (a second load of the change)
+    # against the change.
+    recorded = json.loads((ROOT / "BENCH_31_layers.json").read_text())["layers"]
+    change = {layer: {side: entry["seconds"][side] for side in ("parent", "change")}
+              for layer, entry in recorded.items()}
+    report, _ = run_fake_pairs(monkeypatch, change)
+    assert {layer: entry["verdict"] for layer, entry in report.items()} == {
+        "fit_expansion": "gain", "verify_model": "gain",
+        "heat_trace": "no_regression", "collision_groups": "no_regression",
+    }
+    fit = report["fit_expansion"]
+    assert fit["change_better_pairs"] == 21
+    assert fit["median_delta"] / fit["parent"]["median"] == pytest.approx(-0.496, abs=5e-4)
+    assert report["verify_model"]["change_better_pairs"] == 21
+    assert report["verify_model"]["median_delta"] / report["verify_model"]["parent"]["median"] == (
+        pytest.approx(-0.393, abs=5e-4))
+    null = {layer: {"parent": entry["seconds"]["change"], "change": entry["seconds"]["null"]}
+            for layer, entry in recorded.items()}
+    report, _ = run_fake_pairs(monkeypatch, null)
+    assert {entry["verdict"] for entry in report.values()} == {"no_regression"}
 
 
-def test_a_ratio_between_the_null_extremes_is_within_the_null_spread(monkeypatch):
-    report = run_fake_pairs(monkeypatch, {
-        "parent": [1.0, 1.0, 1.0], "change": [1.05, 0.95, 1.0], "null": [1.05, 1.045, 0.9],
-    })
-    assert report["ratio"]["median"] == 1.0
-    assert report["ratio"]["faster_pairs"] == 1
-    assert report["within_null_spread"] is True
+def test_a_slowdown_in_twenty_of_twenty_one_pairs_is_a_regression(monkeypatch):
+    # Shaped like spherical@500 collision_groups at b3e14ad -> 3177cb6:
+    # 20 of 21 pairs slower and the median 25% up.
+    parent = [0.030 + 0.0003 * i for i in range(21)]
+    change = [1.25 * p for p in parent]
+    change[17] = 0.020
+    report, _ = run_fake_pairs(monkeypatch, {"collision_groups": {"parent": parent, "change": change}})
+    entry = report["collision_groups"]
+    assert entry["change_better_pairs"] == 1
+    assert entry["pair_ratio"]["median"] == pytest.approx(1.25)
+    assert entry["verdict"] == "regression"
 
 
-def test_main_extracts_both_commits_and_writes_the_report(monkeypatch, tmp_path):
+def test_identical_series_are_no_regression(monkeypatch):
+    series = [1.0, 3.0, 2.0, 2.5, 1.5]
+    report, timed = run_fake_pairs(monkeypatch, {"fit_expansion": {"parent": series, "change": series}})
+    entry = report["fit_expansion"]
+    assert entry["seconds"] == {"parent": series, "change": series}
+    assert entry["pair_ratio"]["values"] == [1.0] * 5
+    assert entry["change_better_pairs"] == 0
+    # The parent's interquartile range over its median: 1.0 / 2.0.
+    assert entry["bound"] == pytest.approx(0.5)
+    assert entry["verdict"] == "no_regression"
+    # The parent runs first in even pairs, the change first in odd ones.
+    assert timed == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
+
+
+def test_main_extracts_both_commits_and_writes_the_report(monkeypatch, tmp_path, capsys):
     runs = []
-    summary = layer_pairs.summary([1.0, 2.0], [2.0, 2.0])
+    entry = {"bound": 0.25, **layer_pairs.judge([2.0, 2.0], [1.0, 2.0], "lower", 0.25)}
 
     def run_pairs(packages, pairs, seed):
         runs.append((sorted(packages.values()), pairs, seed))
-        return {"fit_expansion": {"ratio": summary, "null_ratio": summary}}
+        return {"fit_expansion": entry}
 
     def load(tree, name):
         assert (tree / "src" / "orbheat" / "_lstsq.py").is_file()
@@ -103,11 +142,12 @@ def test_main_extracts_both_commits_and_writes_the_report(monkeypatch, tmp_path)
     out = tmp_path / "layers.json"
     argv = ["--parent", "HEAD", "--change", "HEAD", "--out", str(out), "--pairs", "3"]
     assert layer_pairs.main(argv) == 0
-    assert runs == [(["orbheat_change", "orbheat_null", "orbheat_parent"], 3, 31)]
+    assert runs == [(["orbheat_change", "orbheat_parent"], 3, 31)]
     report = json.loads(out.read_text())
     assert report["commits"]["parent"] == report["commits"]["change"]
     assert (report["pairs"], report["repeats"]) == (3, 5)
-    assert report["layers"]["fit_expansion"]["ratio"]["values"] == [0.5, 1.0]
+    assert report["layers"]["fit_expansion"]["pair_ratio"]["values"] == [0.5, 1.0]
+    assert capsys.readouterr().err.startswith("fit_expansion: no_regression, change/parent median 0.750")
 
 
 def test_fewer_than_two_pairs_are_refused(capsys):

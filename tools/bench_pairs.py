@@ -3,17 +3,18 @@
     python3 tools/bench_pairs.py --parent REV --change REV --out BENCH_N.json
         [--pairs 10] [--seed0 1000]
 
-Each commit is extracted with `git archive` into its own fresh temporary
-directory and run there as `python3 bench/run.py --workload W --seed S
---seconds T`, for every workload and the run length T that BENCHMARK.json
-declares.  Pair i of the w-th workload runs both sides with seed
-seed0 + 100 * w + i, the parent first in even pairs and the change first in
-odd ones, so a slow spell of the machine does not land on one side only.
-The output holds, per workload and end-to-end metric, each side's values,
-median and quartiles, the number of pairs in which the change was better,
-the change of the median, the parent's interquartile range, a verdict
-(see `compare`) and the median and quartiles of the per-pair ratios
-change/parent (see `pair_ratio`), plus the seeds, run order, source digests and host facts
+Both commits are extracted with `git archive` into one fresh temporary
+directory (see `trees`) and run there as `python3 bench/run.py --workload
+W --seed S --seconds T`, for every workload and the run length T that
+BENCHMARK.json declares.  Pair i of the w-th workload runs both sides
+with seed seed0 + 100 * w + i, the parent first in even pairs and the
+change first in odd ones, so a slow spell of the machine does not land on
+one side only.  The output holds, per workload and end-to-end metric,
+what `judge` gives: each side's values, median and quartiles, the number
+of pairs in which the change was better, the change of the median, the
+parent's interquartile range, a verdict (see `compare`) and the median
+and quartiles of the per-pair ratios change/parent (see `pair_ratio`).
+It also holds the seeds, run order, source digests and host facts
 that bench/run.py reports, and each run's median time and count per op
 kind, so which kind sets op_p50_ms can be read from the file.  Each run's
 floor_rss_mb is the peak RSS of the benchmark process itself, which no op
@@ -25,6 +26,7 @@ that holds this file, so it runs the same from any directory.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import statistics
@@ -52,6 +54,23 @@ def extract(rev: str, into: Path) -> str:
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
     return sha
+
+
+@contextlib.contextmanager
+def trees(parent: str, change: str):
+    """Extract both commits into a fresh temporary directory, removed on exit.
+
+    Yields ({side: tree}, {side: full commit hash}) for the sides "parent"
+    and "change".
+    """
+    work = Path(tempfile.mkdtemp(prefix="orbheat-trees-"))
+    try:
+        paths = {"parent": work / "parent", "change": work / "change"}
+        commits = {side: extract(rev, paths[side])
+                   for side, rev in (("parent", parent), ("change", change))}
+        yield paths, commits
+    finally:
+        shutil.rmtree(work)
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple:
@@ -119,12 +138,18 @@ def pair_ratio(parent: list, change: list) -> dict | None:
     return quartiles(ratios) if len(ratios) >= 2 else None
 
 
-def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict) -> dict:
-    """Extract both commits under `work`, run every workload's pairs, return the report."""
-    sides = {"parent": work / "parent", "change": work / "change"}
-    commits = {side: extract(rev, sides[side])
-               for side, rev in (("parent", args.parent), ("change", args.change))}
+def judge(parent: list, change: list, better: str, bound: float) -> dict:
+    """Both sides' quartiles, `compare`'s fields and verdict, and `pair_ratio`, for one metric."""
+    return {
+        "parent": quartiles(parent),
+        "change": quartiles(change),
+        **compare(parent, change, better, bound),
+        "pair_ratio": pair_ratio(parent, change),
+    }
 
+
+def run_pairs(args, sides: dict, commits: dict, workloads: list, seconds: float, declared: dict) -> dict:
+    """Run every workload's pairs in the extracted trees `sides`; return the report."""
     report = {
         "command": "python3 bench/run.py --workload W --seed S --seconds T",
         "seconds": seconds,
@@ -160,10 +185,7 @@ def run_pairs(args, work: Path, workloads: list, seconds: float, declared: dict)
                 "unit": runs["parent"][0]["metrics"][name]["unit"],
                 "better": spec["better"],
                 "bound": spec["bound"],
-                "parent": quartiles(values["parent"]),
-                "change": quartiles(values["change"]),
-                **compare(values["parent"], values["change"], spec["better"], spec["bound"]),
-                "pair_ratio": pair_ratio(values["parent"], values["change"]),
+                **judge(values["parent"], values["change"], spec["better"], spec["bound"]),
             }
         report["workloads"][workload] = {
             "seeds": seeds,
@@ -197,11 +219,8 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
-    work = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    try:
-        report = run_pairs(args, work, workloads, seconds, metrics)
-    finally:
-        shutil.rmtree(work)
+    with trees(args.parent, args.change) as (sides, commits):
+        report = run_pairs(args, sides, commits, workloads, seconds, metrics)
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -2,8 +2,7 @@
 
     python3 tools/expansion_diff.py --parent REV --change REV
 
-Each commit is extracted with bench_pairs.extract into its own fresh
-temporary directory.  One Python process per tree runs every argv of
+Both commits are extracted with bench_pairs.trees.  One Python process per tree runs every argv of
 argv_set() through that tree's orbheat.cli.run and records its exit code,
 stdout and stderr; the two processes run side by side.  The argv set is
 fixed, 11,718 runs in four named groups, in this order, each in both
@@ -38,13 +37,11 @@ import contextlib
 import itertools
 import json
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import extract
+from bench_pairs import trees
 
 SIGNATURES = (
     "", "o", "o,o", "x", "2,3,5", "2,3,6", "2,3,7", "2,2,3,3", "o,2",
@@ -172,16 +169,10 @@ def main(argv=None) -> int:
 
     named = [(group, argv) for group, argvs in argv_set().items() for argv in argvs]
     argvs = [argv for _, argv in named]
-    work = Path(tempfile.mkdtemp(prefix="expansion-diff-"))
-    try:
-        sides = {"parent": work / "parent", "change": work / "change"}
-        for side, tree in sides.items():
-            extract(getattr(args, side), tree)
-        with contextlib.ExitStack() as procs:  # closes the pipes and waits
-            started = {side: procs.enter_context(start(tree, argvs)) for side, tree in sides.items()}
-            outputs = {side: results(proc) for side, proc in started.items()}
-    finally:
-        shutil.rmtree(work)
+    # The stack closes the pipes and waits before the trees are removed.
+    with trees(args.parent, args.change) as (sides, _), contextlib.ExitStack() as procs:
+        started = {side: procs.enter_context(start(tree, argvs)) for side, tree in sides.items()}
+        outputs = {side: results(proc) for side, proc in started.items()}
     differing = 0
     for (group, run_argv), parent, change in zip(named, outputs["parent"], outputs["change"]):
         if parent != change:

@@ -3,30 +3,29 @@
     python3 tools/layer_pairs.py --parent REV --change REV --out BENCH_N_layers.json
         [--pairs 21] [--seed 31]
 
-Each commit is extracted with bench_pairs.extract into its own fresh
-temporary directory, and each tree's src/orbheat is loaded into this one
-process under its own package name: `orbheat_parent`, `orbheat_change`,
-and `orbheat_null`, a second load of the change tree.  The three share no
-module object.  Four layers are timed, each on inputs drawn once from the
-seed and given to every side:
+Both commits are extracted with bench_pairs.trees, and each tree's
+src/orbheat is loaded into this one process under its own package name,
+`orbheat_parent` and `orbheat_change`; the two share no module object.
+Four layers are timed, each on inputs drawn once from the seed and given
+to both sides:
 
   * fit_expansion: the samples of the 10 verify grids below;
   * verify_model: the 5 flat models on grids whose start lies within a
     factor 10^0.1 of 1e-2 and of 1e-3, drawn as bench/inputs.py draws
     the spectra workload's verify ops;
-  * heat_trace: the 5 models at 14 times, one per half decade of
-    [1e-8, 1e-1];
+  * heat_trace: the 5 models at 303 times, one per decade of
+    [1e-300, 1e3], a range the benchmark's [1e-8, 1e-1] does not reach;
   * collision_groups: the spherical class at bound 500.
 
 A side's time is the best of 5 repeats of one pass over the layer's
-inputs (wall seconds, time.perf_counter).  Pair i times the parent, the
-change and the null side in a rotating order, so a slow spell of the
-machine does not land on one side only.  Per layer the output holds each
-side's times, the per-pair ratios change/parent with their median and
-quartiles and the number of pairs in which the change was faster, and the
-null ratios null/change, which read what no change reads; the change
-stays "within the null spread" when its median ratio lies between the
-smallest and the largest null ratio.
+inputs (wall seconds, time.perf_counter).  Pair i times the parent first
+when i is even and the change first when it is odd, so a slow spell of
+the machine does not land on one side only.  Per layer the output holds
+what bench_pairs.judge gives for lower-is-better seconds, with the verdict
+of bench_pairs.compare, and the bound it was judged against: the
+parent's own interquartile range relative to its median, so a change
+reads `regression` when its median time exceeds the parent's by more than
+the parent's runs spread.
 """
 
 from __future__ import annotations
@@ -38,21 +37,20 @@ import json
 import math
 import platform
 import random
-import shutil
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import extract, pair_count, quartiles
+from bench_pairs import judge, pair_count, quartiles, trees
 
-SIDES = ("parent", "change", "null")
+SIDES = ("parent", "change")
 REPEATS = 5
 # The spectra workload's verify grids: starts near 1e-2 and 1e-3,
 # jittered by up to 10^0.1 either way (bench/inputs.py).
 GRID_STARTS = (1e-2, 1e-3)
 JITTER_DECADES = 0.1
-TRACE_BINS = tuple(-8 + 0.5 * i for i in range(14))
+# One trace time per decade of [1e-300, 1e3].
+TRACE_DECADES = range(-300, 3)
 
 
 def load(tree: Path, name: str):
@@ -78,7 +76,7 @@ def layers(name: str, seed: int) -> dict:
         for model in models for start in GRID_STARTS
     ]
     samples = [flat.sample_trace(model, times) for model, times in grids]
-    times = [10 ** rng.uniform(lo, lo + 0.5) for lo in TRACE_BINS]
+    times = [10 ** rng.uniform(lo, lo + 1) for lo in TRACE_DECADES]
     spherical = classify.OrbifoldClass(classify.ClassKind("spherical"), 500)
     return {
         "fit_expansion": lambda: [flat.fit_expansion(s) for s in samples],
@@ -98,33 +96,28 @@ def best_time(call) -> float:
     return best
 
 
-def summary(change: list, parent: list) -> dict:
-    """Quartiles of the per-pair ratios change/parent and the pairs the change won."""
-    ratios = [c / p for c, p in zip(change, parent)]
-    return {**quartiles(ratios), "faster_pairs": sum(c < p for c, p in zip(change, parent))}
-
-
 def run_pairs(packages: dict, pairs: int, seed: int) -> dict:
-    """Time every layer of every side for `pairs` pairs; return the per-layer report."""
+    """Time every layer of both sides for `pairs` pairs; return the per-layer report."""
     calls = {side: layers(name, seed) for side, name in packages.items()}
     for side_calls in calls.values():  # warm every path before any timing
         for call in side_calls.values():
             call()
-    seconds = {layer: {side: [] for side in packages} for layer in calls["parent"]}
+    seconds = {layer: {side: [] for side in SIDES} for layer in calls["parent"]}
     for i in range(pairs):
-        order = SIDES[i % 3:] + SIDES[:i % 3]
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
         for layer, by_side in seconds.items():
             for side in order:
                 by_side[side].append(best_time(calls[side][layer]))
     report = {}
     for layer, by_side in seconds.items():
-        ratio = summary(by_side["change"], by_side["parent"])
-        null = summary(by_side["null"], by_side["change"])
+        parent = quartiles(by_side["parent"])
+        # Rounded up, so that bound * median, which compare works out, is
+        # never below the parent's interquartile range.
+        bound = math.nextafter(parent["iqr"] / parent["median"], math.inf)
         report[layer] = {
             "seconds": by_side,
-            "ratio": ratio,
-            "null_ratio": null,
-            "within_null_spread": min(null["values"]) <= ratio["median"] <= max(null["values"]),
+            "bound": bound,
+            **judge(by_side["parent"], by_side["change"], "lower", bound),
         }
     return report
 
@@ -138,17 +131,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=31)
     args = parser.parse_args(argv)
 
-    work = Path(tempfile.mkdtemp(prefix="layer-pairs-"))
-    try:
-        commits = {side: extract(rev, work / side)
-                   for side, rev in (("parent", args.parent), ("change", args.change))}
+    with trees(args.parent, args.change) as (paths, commits):
         packages = {side: f"orbheat_{side}" for side in SIDES}
-        trees = {"parent": work / "parent", "change": work / "change", "null": work / "change"}
         for side, name in packages.items():
-            load(trees[side], name)
+            load(paths[side], name)
         layers_report = run_pairs(packages, args.pairs, args.seed)
-    finally:
-        shutil.rmtree(work)
     report = {
         "command": "python3 tools/layer_pairs.py --parent REV --change REV",
         "commits": commits,
@@ -160,10 +147,10 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for layer, entry in layers_report.items():
-        ratio, null = entry["ratio"], entry["null_ratio"]
-        print(f"{layer}: change/parent median {ratio['median']:.3f} "
-              f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}], faster in {ratio['faster_pairs']}/{args.pairs}; "
-              f"null {min(null['values']):.3f}-{max(null['values']):.3f}", file=sys.stderr)
+        ratio = entry["pair_ratio"]
+        print(f"{layer}: {entry['verdict']}, change/parent median {ratio['median']:.3f} "
+              f"[{ratio['q1']:.3f}, {ratio['q3']:.3f}], faster in {entry['change_better_pairs']}/{args.pairs}, "
+              f"bound {entry['bound']:.3f}", file=sys.stderr)
     return 0
 
 
