@@ -2,11 +2,11 @@
 
     python3 tools/expansion_diff.py --parent REV --change REV
 
-Both commits are extracted with bench_pairs.trees.  One Python process per tree runs every argv of
-argv_set() through that tree's orbheat.cli.run and records its exit code,
-stdout and stderr; the two processes run side by side.  The argv set is
-fixed, 11,718 runs in four named groups, in this order, each in both
-formats:
+Both commits are extracted with bench_pairs.trees.  One Python process
+per tree runs every argv of argv_set() through that tree's orbheat.cli.run
+and records its exit code, stdout and stderr; the two processes run side
+by side.  The argv set is fixed, 11,718 runs in four named groups, in this
+order, each in both formats:
 
   * "expansion": 17 signatures x 16 curvatures x 5 areas x 4 mirror
     lengths x 2 formats, 10,880 runs, chosen around the edges of the float
