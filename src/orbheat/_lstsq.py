@@ -1,17 +1,18 @@
 """Exact least squares for flat.fit_expansion, in the standard library only.
 
-Every float is an int times a power of two, so the design matrix A and
-the samples b become int vectors, and the normal equations G x = A^T b,
-G = A^T A, hold exactly in ints; exact arithmetic makes their squared
-conditioning harmless.  The solution adj(G) A^T b / det(G) is rounded
-once, by int true division, which Python rounds correctly, and det(G) = 0
-is an exact test for a singular design.  The condition number of A is
-sqrt(lambda_max(G) lambda_max(G^-1)), read from the largest roots of G's
-characteristic polynomial and of its reverse.  A has three columns, one
-per degree of flat.FIT_DEGREES, the last of which, t^0, is ones, so G's
-adjugate and characteristic polynomial are written out.  flat imports
-this module on its first fit, so a process that samples traces without
-fitting them never compiles it.
+The fit's design A has three columns, t^-1, t^-1/2 and ones for t^0;
+callers pass the first two, and the ones column is implied.  Every float
+is an int times a power of two, so A and the samples y become int
+vectors, and the normal equations G x = A^T y, G = A^T A, hold exactly in
+ints; exact arithmetic makes their squared conditioning harmless.  The
+solution adj(G) A^T y / det(G) is rounded once, by int true division,
+which Python rounds correctly, and det(G) = 0 is an exact test for a
+singular design.  The condition number of A is sqrt(lambda_max(G)
+lambda_max(G^-1)), read from the largest roots of G's characteristic
+polynomial and of its reverse; with three columns, G's adjugate and
+characteristic polynomial are written out.  flat imports this module on
+its first fit, so a process that samples traces without fitting them
+never compiles it.
 """
 
 from __future__ import annotations
@@ -37,34 +38,32 @@ def _integers(floats) -> tuple:
     return [int(m * 2.0**53) << (e - lo) for m, e in pairs], 53 - lo
 
 
-def normal_equations(columns, values) -> tuple:
-    """(polynomial, adjugate, moments): A x ~ values as exact normal equations.
+def normal_equations(a, b, values) -> tuple:
+    """(condition, system): A x ~ values as exact normal equations.
 
-    A is given by its three columns, the last of which must be ones.  A and
-    values are scaled to ints by one power of two 2^shift, and G = A^T A and
-    moments = A^T values are taken in ints; against the ones column, whose
-    ints are all 2^shift, a dot product is a shifted sum.  polynomial holds
-    the coefficients [c0, c1, c2, 1] of G's characteristic polynomial
-    det(lambda I - G), and adjugate is adj(G), symmetric like G, whose
-    diagonal sums to c1.
+    a and b are A's t^-1 and t^-1/2 columns; its ones column is implied.
+    A and values are scaled to ints by one power of two 2^shift, and G =
+    A^T A and moments = A^T values are taken in ints; against the ones
+    column, whose ints are all 2^shift, a dot product is a shifted sum.
+    condition is A's sigma_max / sigma_min, inf for a singular A, and
+    system holds what solve reads.
     """
-    a, b, ones = columns
-    if ones.count(1.0) != len(ones):
-        raise ValueError("the last design column must be ones")
     m = len(values)
     ints, shift = _integers(chain(a, b, values))
-    a, b, target = ints[:m], ints[m:2 * m], ints[2 * m:]
-    aa = sum(map(mul, a, a))
-    ab = sum(map(mul, a, b))
-    bb = sum(map(mul, b, b))
-    ac, bc, cc = sum(a) << shift, sum(b) << shift, m << 2 * shift
-    moments = [sum(map(mul, a, target)), sum(map(mul, b, target)), sum(target) << shift]
+    ia, ib, target = ints[:m], ints[m:2 * m], ints[2 * m:]
+    aa = sum(map(mul, ia, ia))
+    ab = sum(map(mul, ia, ib))
+    bb = sum(map(mul, ib, ib))
+    ac, bc, cc = sum(ia) << shift, sum(ib) << shift, m << 2 * shift
+    moments = [sum(map(mul, ia, target)), sum(map(mul, ib, target)), sum(target) << shift]
     # adj(G) of the symmetric G = [[aa, ab, ac], [ab, bb, bc], [ac, bc, cc]].
     xa, xb, xc = bb * cc - bc * bc, aa * cc - ac * ac, aa * bb - ab * ab
     xab, xac, xbc = ac * bc - ab * cc, ab * bc - ac * bb, ab * ac - aa * bc
     adjugate = [[xa, xab, xac], [xab, xb, xbc], [xac, xbc, xc]]
     det = aa * xa + ab * xab + ac * xac
-    return [-det, xa + xb + xc, -(aa + bb + cc), 1], adjugate, moments
+    # G's characteristic polynomial det(lambda I - G), lowest power first.
+    condition = _condition([-det, xa + xb + xc, -(aa + bb + cc), 1])
+    return condition, (det, adjugate, moments, a, b, values)
 
 
 def _largest_root(polynomial) -> tuple:
@@ -103,8 +102,8 @@ def _largest_root(polynomial) -> tuple:
         y -= step
 
 
-def condition_number(polynomial) -> float:
-    """sigma_max / sigma_min of A, from normal_equations' polynomial of G = A^T A.
+def _condition(polynomial) -> float:
+    """sigma_max / sigma_min of A, from the characteristic polynomial of G = A^T A.
 
     It is sqrt(lambda_max(G) lambda_max(G^-1)); the roots of the reversed
     polynomial are the 1 / lambda.  A singular G, det(G) = 0, gives inf,
@@ -122,22 +121,20 @@ def condition_number(polynomial) -> float:
         return math.inf
 
 
-def solve(polynomial, adjugate, moments, columns, values) -> tuple:
+def solve(system) -> tuple:
     """The least-squares x of A x ~ values, and ||A x - values||_2.
 
-    From normal_equations' output for the same columns and values: each
-    coefficient is adj(G) A^T b / det(G), an exact ratio of ints rounded
-    once.  The residual is summed in floats.  Raises ValueError when a
-    coefficient lies past the float range.
+    From normal_equations' system: each coefficient is adj(G) A^T values
+    / det(G), an exact ratio of ints rounded once.  The residual is summed
+    in floats.  Raises ValueError when a coefficient lies past the float
+    range.
     """
-    det = -polynomial[0]
+    det, adjugate, moments, a, b, values = system
     h0, h1, h2 = moments
     try:
         x = [(p * h0 + q * h1 + r * h2) / det for p, q, r in adjugate]
     except OverflowError:
         raise ValueError("a least-squares coefficient exceeds the largest float") from None
-    # Each row is ((b - x0 a0) - x1 a1) - x2 a2, subtracted in doubles.
+    # Each row is ((value - x0 a) - x1 b) - x2, subtracted in doubles.
     x0, x1, x2 = x
-    return x, math.hypot(*[
-        ((r - x0 * p) - x1 * q) - x2 * u for r, p, q, u in zip(values, *columns)
-    ])
+    return x, math.hypot(*[((r - x0 * p) - x1 * q) - x2 for r, p, q in zip(values, a, b)])

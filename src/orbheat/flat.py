@@ -315,8 +315,9 @@ class FitResult(Record):
 
 # The degrees that fit and verify solve for; no caller chooses others.
 FIT_DEGREES = (Fraction(-1), Fraction(-1, 2), Fraction(0))
-# The same degrees as the float powers of the design columns t ** d.
-_FIT_POWERS = tuple(map(float, FIT_DEGREES))
+# The float powers of the t^-1 and t^-1/2 design columns; degree 0's
+# column is ones, which _lstsq implies.
+_FIT_POWERS = (-1.0, -0.5)
 # Largest design-matrix condition number fit_expansion solves for; fixed,
 # not an option.
 FIT_CONDITION_LIMIT = 1e12
@@ -325,11 +326,12 @@ FIT_CONDITION_LIMIT = 1e12
 def fit_expansion(samples: TraceSamples) -> FitResult:
     """Fit sum_d c_d t^d, d in FIT_DEGREES, to the samples by least squares.
 
-    The t^d design matrix and the samples are floats, so their normal
-    equations hold exactly in ints: the coefficients are the exact
-    least-squares solution of the sampled data, each rounded once to the
-    nearest float, and the condition number is the design matrix's
-    sigma_max / sigma_min to within a few ulps.
+    The design matrix has the columns t^-1, t^-1/2 and ones.  It and the
+    samples are floats, so their normal equations hold exactly in ints:
+    the coefficients are the exact least-squares solution of the sampled
+    data, each rounded once to the nearest float, and the condition
+    number is the design matrix's sigma_max / sigma_min to within a few
+    ulps.
     Raises InsufficientSamples when there are fewer points than degrees,
     before solving, IllConditioned when the condition exceeds
     FIT_CONDITION_LIMIT or the design matrix is singular, and ValueError,
@@ -346,19 +348,18 @@ def fit_expansion(samples: TraceSamples) -> FitResult:
 
     times, values = zip(*samples.points)
     try:
-        columns = [[t**e for t in times] for e in _FIT_POWERS]
+        a, b = [[t**e for t in times] for e in _FIT_POWERS]
     except OverflowError:
         # t^-1 grows as t shrinks, so the least time overflows if any does.
         raise ValueError(
             f"sample time {min(times)!r} is too small: its t^-1 exceeds the largest float"
         ) from None
-    polynomial, adjugate, moments = _lstsq.normal_equations(columns, values)
-    condition = _lstsq.condition_number(polynomial)
+    condition, system = _lstsq.normal_equations(a, b, values)
     if not math.isfinite(condition) or condition > FIT_CONDITION_LIMIT:
         raise IllConditioned(
             f"design matrix condition {condition:.3e} exceeds limit {FIT_CONDITION_LIMIT:.3e}"
         )
-    solution, residual = _lstsq.solve(polynomial, adjugate, moments, columns, values)
+    solution, residual = _lstsq.solve(system)
     return FitResult(
         coefficients=dict(zip(FIT_DEGREES, solution)), residual=residual, condition=condition
     )

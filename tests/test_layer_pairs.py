@@ -50,18 +50,25 @@ def test_each_layer_runs_one_pass_on_the_same_inputs(two_loads):
     assert len(a["collision_groups"]()) > 0
 
 
-def run_fake_pairs(monkeypatch, seconds):
+def run_fake_pairs(monkeypatch, seconds, raising=()):
     """run_pairs over layers whose pair-i time on each side is seconds[layer][side][i].
 
-    Returns the report and the sides in the order they were timed.
+    A (layer, side) in `raising` raises a TypeError on every call.  Returns
+    the report, the skipped layers and the sides in the order they were
+    timed.
     """
     times = {(layer, side): iter(values) for layer, by_side in seconds.items()
              for side, values in by_side.items()}
     timed = []
 
+    def call(layer, side):
+        if (layer, side) in raising:
+            raise TypeError(f"{layer}() missing 1 required positional argument: 'degrees'")
+        return layer, side
+
     def layers(name, seed):
         side = name.removeprefix("orbheat_")
-        return {layer: (lambda layer=layer: (layer, side)) for layer in seconds}
+        return {layer: (lambda layer=layer: call(layer, side)) for layer in seconds}
 
     def best_time(call):
         timed.append(call()[1])
@@ -71,7 +78,7 @@ def run_fake_pairs(monkeypatch, seconds):
     monkeypatch.setattr(layer_pairs, "best_time", best_time)
     packages = {side: f"orbheat_{side}" for side in layer_pairs.SIDES}
     pairs = len(next(iter(seconds.values()))["parent"])
-    return layer_pairs.run_pairs(packages, pairs, 31), timed
+    return *layer_pairs.run_pairs(packages, pairs, 31), timed
 
 
 def test_recorded_seconds_read_the_recorded_verdicts(monkeypatch):
@@ -81,7 +88,7 @@ def test_recorded_seconds_read_the_recorded_verdicts(monkeypatch):
     recorded = json.loads((ROOT / "BENCH_31_layers.json").read_text())["layers"]
     change = {layer: {side: entry["seconds"][side] for side in ("parent", "change")}
               for layer, entry in recorded.items()}
-    report, _ = run_fake_pairs(monkeypatch, change)
+    report, _, _ = run_fake_pairs(monkeypatch, change)
     assert {layer: entry["verdict"] for layer, entry in report.items()} == {
         "fit_expansion": "gain", "verify_model": "gain",
         "heat_trace": "no_regression", "collision_groups": "no_regression",
@@ -94,7 +101,7 @@ def test_recorded_seconds_read_the_recorded_verdicts(monkeypatch):
         pytest.approx(-0.393, abs=5e-4))
     null = {layer: {"parent": entry["seconds"]["change"], "change": entry["seconds"]["null"]}
             for layer, entry in recorded.items()}
-    report, _ = run_fake_pairs(monkeypatch, null)
+    report, _, _ = run_fake_pairs(monkeypatch, null)
     assert {entry["verdict"] for entry in report.values()} == {"no_regression"}
 
 
@@ -104,7 +111,7 @@ def test_a_slowdown_in_twenty_of_twenty_one_pairs_is_a_regression(monkeypatch):
     parent = [0.030 + 0.0003 * i for i in range(21)]
     change = [1.25 * p for p in parent]
     change[17] = 0.020
-    report, _ = run_fake_pairs(monkeypatch, {"collision_groups": {"parent": parent, "change": change}})
+    report, _, _ = run_fake_pairs(monkeypatch, {"collision_groups": {"parent": parent, "change": change}})
     entry = report["collision_groups"]
     assert entry["change_better_pairs"] == 1
     assert entry["pair_ratio"]["median"] == pytest.approx(1.25)
@@ -113,7 +120,7 @@ def test_a_slowdown_in_twenty_of_twenty_one_pairs_is_a_regression(monkeypatch):
 
 def test_identical_series_are_no_regression(monkeypatch):
     series = [1.0, 3.0, 2.0, 2.5, 1.5]
-    report, timed = run_fake_pairs(monkeypatch, {"fit_expansion": {"parent": series, "change": series}})
+    report, _, timed = run_fake_pairs(monkeypatch, {"fit_expansion": {"parent": series, "change": series}})
     entry = report["fit_expansion"]
     assert entry["seconds"] == {"parent": series, "change": series}
     assert entry["pair_ratio"]["values"] == [1.0] * 5
@@ -125,13 +132,29 @@ def test_identical_series_are_no_regression(monkeypatch):
     assert timed == ["parent", "change", "change", "parent"] * 2 + ["parent", "change"]
 
 
+def test_a_layer_that_raises_on_one_side_is_skipped_and_named(monkeypatch, capsys):
+    # As fit_expansion at b3e14ad, which still took the degrees to fit.
+    series = [1.0, 3.0, 2.0]
+    seconds = {layer: {"parent": series, "change": series} for layer in ("fit_expansion", "heat_trace")}
+    report, skipped, timed = run_fake_pairs(monkeypatch, seconds, raising={("fit_expansion", "parent")})
+    error = "TypeError: fit_expansion() missing 1 required positional argument: 'degrees'"
+    assert skipped == {"fit_expansion": {"parent": error}}
+    assert list(report) == ["heat_trace"]
+    assert report["heat_trace"]["verdict"] == "no_regression"
+    assert len(timed) == 2 * len(series)  # heat_trace alone, once per side and pair
+    err = capsys.readouterr().err
+    assert "fit_expansion: skipped, the parent side raised" in err
+    assert err.rstrip().endswith(error)  # the traceback's last line
+
+
 def test_main_extracts_both_commits_and_writes_the_report(monkeypatch, tmp_path, capsys):
     runs = []
     entry = {"bound": 0.25, **layer_pairs.judge([2.0, 2.0], [1.0, 2.0], "lower", 0.25)}
+    skipped = {"heat_trace": {"change": "ValueError: no such model"}}
 
     def run_pairs(packages, pairs, seed):
         runs.append((sorted(packages.values()), pairs, seed))
-        return {"fit_expansion": entry}
+        return {"fit_expansion": entry}, skipped
 
     def load(tree, name):
         assert (tree / "src" / "orbheat" / "_lstsq.py").is_file()
@@ -147,6 +170,7 @@ def test_main_extracts_both_commits_and_writes_the_report(monkeypatch, tmp_path,
     assert report["commits"]["parent"] == report["commits"]["change"]
     assert (report["pairs"], report["repeats"]) == (3, 5)
     assert report["layers"]["fit_expansion"]["pair_ratio"]["values"] == [0.5, 1.0]
+    assert report["skipped"] == skipped
     assert capsys.readouterr().err.startswith("fit_expansion: no_regression, change/parent median 0.750")
 
 

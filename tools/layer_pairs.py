@@ -25,7 +25,9 @@ what bench_pairs.judge gives for lower-is-better seconds, with the verdict
 of bench_pairs.compare, and the bound it was judged against: the
 parent's own interquartile range relative to its median, so a change
 reads `regression` when its median time exceeds the parent's by more than
-the parent's runs spread.
+the parent's runs spread.  A layer whose inputs or first call raise in
+either tree is not timed: the report's `skipped` names it, with each
+failing side's exception type and message, and stderr gets its traceback.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ import platform
 import random
 import sys
 import time
+import traceback
+from functools import cache
 from pathlib import Path
 
 from bench_pairs import judge, pair_count, quartiles, trees
@@ -66,23 +70,39 @@ def load(tree: Path, name: str):
 
 
 def layers(name: str, seed: int) -> dict:
-    """{layer: a call that runs one pass over its inputs} for the loaded package `name`."""
+    """{layer: a call that runs one pass over its inputs} for the loaded package `name`.
+
+    The random draws are made here, in one order, so both sides get the
+    same ones; what the package builds from them is built on a layer's
+    first call, so that a layer whose inputs raise fails alone.
+    """
     flat = importlib.import_module(f"{name}.flat")
     classify = importlib.import_module(f"{name}.classify")
     rng = random.Random(seed)
     models = tuple(flat.FlatModel)
-    grids = [
-        (model, flat.default_grid(start * 10 ** rng.uniform(-JITTER_DECADES, JITTER_DECADES)))
+    starts = [
+        (model, start * 10 ** rng.uniform(-JITTER_DECADES, JITTER_DECADES))
         for model in models for start in GRID_STARTS
     ]
-    samples = [flat.sample_trace(model, times) for model, times in grids]
     times = [10 ** rng.uniform(lo, lo + 1) for lo in TRACE_DECADES]
-    spherical = classify.OrbifoldClass(classify.ClassKind("spherical"), 500)
+
+    @cache
+    def grids():
+        return [(model, flat.default_grid(start)) for model, start in starts]
+
+    @cache
+    def samples():
+        return [flat.sample_trace(model, grid) for model, grid in grids()]
+
+    @cache
+    def spherical():
+        return classify.OrbifoldClass(classify.ClassKind("spherical"), 500)
+
     return {
-        "fit_expansion": lambda: [flat.fit_expansion(s) for s in samples],
-        "verify_model": lambda: [flat.verify_model(m, times=g) for m, g in grids],
+        "fit_expansion": lambda: [flat.fit_expansion(s) for s in samples()],
+        "verify_model": lambda: [flat.verify_model(m, times=g) for m, g in grids()],
         "heat_trace": lambda: [flat.heat_trace(m, t) for t in times for m in models],
-        "collision_groups": lambda: classify.collision_groups(spherical),
+        "collision_groups": lambda: classify.collision_groups(spherical()),
     }
 
 
@@ -96,13 +116,23 @@ def best_time(call) -> float:
     return best
 
 
-def run_pairs(packages: dict, pairs: int, seed: int) -> dict:
-    """Time every layer of both sides for `pairs` pairs; return the per-layer report."""
+def run_pairs(packages: dict, pairs: int, seed: int) -> tuple:
+    """Time every layer of both sides for `pairs` pairs.
+
+    Returns the per-layer report and {layer: {side: "Type: message"}} for
+    each layer skipped because a side raised on its first call.
+    """
     calls = {side: layers(name, seed) for side, name in packages.items()}
-    for side_calls in calls.values():  # warm every path before any timing
-        for call in side_calls.values():
-            call()
-    seconds = {layer: {side: [] for side in SIDES} for layer in calls["parent"]}
+    skipped = {}
+    for side, side_calls in calls.items():  # warm every path before any timing
+        for layer, call in side_calls.items():
+            try:
+                call()
+            except Exception as error:
+                skipped.setdefault(layer, {})[side] = f"{type(error).__name__}: {error}"
+                print(f"{layer}: skipped, the {side} side raised", file=sys.stderr)
+                traceback.print_exc()
+    seconds = {layer: {side: [] for side in SIDES} for layer in calls["parent"] if layer not in skipped}
     for i in range(pairs):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for layer, by_side in seconds.items():
@@ -119,7 +149,7 @@ def run_pairs(packages: dict, pairs: int, seed: int) -> dict:
             "bound": bound,
             **judge(by_side["parent"], by_side["change"], "lower", bound),
         }
-    return report
+    return report, skipped
 
 
 def main(argv=None) -> int:
@@ -135,7 +165,7 @@ def main(argv=None) -> int:
         packages = {side: f"orbheat_{side}" for side in SIDES}
         for side, name in packages.items():
             load(paths[side], name)
-        layers_report = run_pairs(packages, args.pairs, args.seed)
+        layers_report, skipped = run_pairs(packages, args.pairs, args.seed)
     report = {
         "command": "python3 tools/layer_pairs.py --parent REV --change REV",
         "commits": commits,
@@ -144,6 +174,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "host": {"python": platform.python_version(), "machine": platform.machine()},
         "layers": layers_report,
+        "skipped": skipped,
     }
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for layer, entry in layers_report.items():
