@@ -32,7 +32,10 @@ brute_force_trace recomputes the trace a second, independent way: average
 over the deck group of character sums on the lattice eigenbasis, with
 exact +-1 phases.  The two routes agreeing at several times is the main
 numerical check that the expansion coefficients are wired to a genuine
-spectrum.
+spectrum.  Its multiplicity tables are cached per (model, shell count),
+so a sweep over t at one cutoff computes the table once; the cache keeps
+the 64 most recently used tables as two int arrays each, 24.7 MB
+(tracemalloc) when all 64 reach shell MULTIPLICITY_SHELL_LIMIT.
 
 fit_expansion recovers the coefficients from trace samples, and
 verify_model compares them with predicted_expansion, the one function
@@ -44,10 +47,11 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import defaultdict
 from enum import Enum
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from ._record import Record
 from .signature import OrbifoldSignature
@@ -192,9 +196,14 @@ def heat_trace(model: FlatModel, t: float) -> float:
 
 # Largest shell index n = cutoff / (4 pi^2) the multiplicity oracle accepts.
 # Its double loop visits about 4n lattice points, so this cap keeps one
-# call to seconds (the Klein bottle: about 4 s at the cap); it is fixed,
-# not an option.
+# uncached call to seconds (the Klein bottle: about 4 s at the cap), and
+# a cached table to 385 KB, so the cache's 64 tables to 24.7 MB at most;
+# it is fixed, not an option.
 MULTIPLICITY_SHELL_LIMIT = 100_000
+# Multiplicity tables kept, keyed by (model, shell count), least recently
+# used dropped first.  A spectra sweep reuses about 55 of them, the small
+# cutoffs of its five models; a one-off large table ages out.
+_SHELL_TABLES = 64
 
 
 def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
@@ -205,6 +214,8 @@ def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
     linear part fixes it, and then contributes the exact phase
     cos(2 pi (k, l) . b) which is +-1 for half-integer translations.
     All arithmetic is exact, so the averaged counts are exact integers.
+    The table is computed once per (model, shell count) and cached; each
+    call returns a new dict, in ascending n.
     Raises ValueError when the cutoff reaches past shell
     MULTIPLICITY_SHELL_LIMIT.
     """
@@ -216,6 +227,17 @@ def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
             f"cutoff {cutoff!r} reaches past shell {MULTIPLICITY_SHELL_LIMIT}, "
             "the multiplicity oracle's limit"
         )
+    shells, counts = _shell_table(model, nmax)
+    return dict(zip(shells, counts))
+
+
+@lru_cache(maxsize=_SHELL_TABLES)
+def _shell_table(model: FlatModel, nmax: int) -> tuple:
+    """The model's nonzero multiplicities at shells n <= nmax: two arrays, shells ascending.
+
+    Arrays of 8-byte ints, not tuples of pairs: a table at shell 10,000
+    takes 44 KB, about a sixth of the tuples' size.
+    """
     kmax = math.isqrt(nmax)
     deck = _MODELS[model][1]
     order = len(deck)
@@ -229,7 +251,7 @@ def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
                 if (a == 1 or k == 0) and (d == 1 or l == 0):
                     phase = Fraction(k) * bx + Fraction(l) * by
                     acc[n] += 1 if phase.denominator == 1 else -1
-    mults = {}
+    shells, counts = [], []
     for n, total in sorted(acc.items()):
         count = total / order
         if count.denominator != 1 or count < 0:
@@ -237,8 +259,9 @@ def eigenvalue_multiplicities(model: FlatModel, cutoff: float) -> dict:
                 f"non-integer multiplicity {count} at shell {n} for {model.value}"
             )
         if count:
-            mults[n] = int(count)
-    return mults
+            shells.append(n)
+            counts.append(int(count))
+    return array("q", shells), array("q", counts)
 
 
 def brute_force_trace(model: FlatModel, t: float, cutoff: float) -> float:

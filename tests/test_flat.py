@@ -295,6 +295,81 @@ def test_oracle_and_grid_reject_a_bad_argument(bad):
         default_grid(bad)
 
 
+# === Multiplicity cache ===
+
+@pytest.fixture
+def tables():
+    """The multiplicity-table cache, empty at the start and cleared after."""
+    cached = orbheat.flat._shell_table
+    cached.cache_clear()
+    yield cached
+    cached.cache_clear()
+
+
+def uncached_multiplicities(model, cutoff) -> dict:
+    shells, counts = orbheat.flat._shell_table.__wrapped__(model, int(cutoff / orbheat.flat._FOUR_PI_SQ))
+    return dict(zip(shells, counts))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_cached_tables_equal_the_uncached_computation(tables, model):
+    for shells in (0.5, 1, 2.5, 5, 10, 13.7, 20, 25, 29.9, 30, 5000.5):
+        cutoff = shells * SHELL
+        expected = uncached_multiplicities(model, cutoff)
+        for _ in range(2):  # a miss, then a hit
+            got = eigenvalue_multiplicities(model, cutoff)
+            assert got == expected
+            assert list(got) == sorted(got)
+            assert all(type(n) is int and type(m) is int for n, m in got.items())
+    assert tables.cache_info().hits == tables.cache_info().misses
+
+
+def test_two_cutoffs_in_one_shell_share_one_entry(tables):
+    low = eigenvalue_multiplicities(FlatModel.KLEIN_BOTTLE, 20.1 * SHELL)
+    high = eigenvalue_multiplicities(FlatModel.KLEIN_BOTTLE, 20.9 * SHELL)
+    assert low == high
+    assert low is not high
+    info = tables.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    eigenvalue_multiplicities(FlatModel.TORUS, 20.5 * SHELL)
+    assert tables.cache_info().currsize == 2
+
+
+def test_mutating_a_returned_table_leaves_the_next_call_unchanged(tables):
+    got = eigenvalue_multiplicities(FlatModel.SQUARE, 5.5 * SHELL)
+    got[0] = 123
+    got.clear()
+    assert eigenvalue_multiplicities(FlatModel.SQUARE, 5.5 * SHELL) == MULTIPLICITY_FIXTURES[FlatModel.SQUARE]
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+def test_brute_force_trace_is_the_fsum_over_the_table(tables, model):
+    for t in (0.05, 0.1, 0.2, 1e-3):
+        for cutoff in (80 * math.pi**2, 120 * math.pi**2):
+            expected = math.fsum(
+                mult * math.exp(-4.0 * math.pi * math.pi * n * t)
+                for n, mult in sorted(eigenvalue_multiplicities(model, cutoff).items())
+            )
+            assert brute_force_trace(model, t, cutoff) == expected
+
+
+def test_a_cutoff_past_the_limit_leaves_no_entry(tables):
+    with pytest.raises(ValueError, match="100000"):
+        eigenvalue_multiplicities(FlatModel.TORUS, (orbheat.flat.MULTIPLICITY_SHELL_LIMIT + 1.5) * SHELL)
+    assert tables.cache_info().currsize == 0
+
+
+def test_a_non_integer_multiplicity_leaves_no_entry(tables, monkeypatch):
+    # A three-element "deck" whose average at shell 1 is 8/3.
+    signature = orbheat.flat._MODELS[FlatModel.TORUS][0]
+    deck = ((1, 1, 0, 0), (1, 1, 0, 0), (-1, -1, 0, 0))
+    monkeypatch.setitem(orbheat.flat._MODELS, FlatModel.TORUS, (signature, deck))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match="non-integer multiplicity 8/3 at shell 1 for torus"):
+            eigenvalue_multiplicities(FlatModel.TORUS, 1.5 * SHELL)
+    assert tables.cache_info().currsize == 0
+
+
 # === Samples container ===
 
 def test_default_grid():

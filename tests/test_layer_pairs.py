@@ -41,13 +41,16 @@ def test_loaded_trees_share_no_module_objects(two_loads):
 
 def test_each_layer_runs_one_pass_on_the_same_inputs(two_loads):
     a, b = (layer_pairs.layers(p.__name__, 31) for p in two_loads)
-    assert list(a) == ["fit_expansion", "verify_model", "heat_trace", "collision_groups"]
+    assert list(a) == ["fit_expansion", "verify_model", "heat_trace", "collision_groups", "brute_force_trace"]
     fits_a, fits_b = a["fit_expansion"](), b["fit_expansion"]()
     assert len(fits_a) == 10
     assert [f.coefficients for f in fits_a] == [f.coefficients for f in fits_b]
     assert a["verify_model"]() == b["verify_model"]()
     assert len(a["heat_trace"]()) == 5 * 303
     assert len(a["collision_groups"]()) > 0
+    traces = a["brute_force_trace"]()
+    assert len(traces) == 5 * 3
+    assert traces == b["brute_force_trace"]()
 
 
 def run_fake_pairs(monkeypatch, seconds, raising=()):

@@ -1,4 +1,4 @@
-"""Paired in-process timings of four orbheat layers in two commits, as one JSON file.
+"""Paired in-process timings of five orbheat layers in two commits, as one JSON file.
 
     python3 tools/layer_pairs.py --parent REV --change REV --out BENCH_N_layers.json
         [--pairs 21] [--seed 31]
@@ -6,7 +6,7 @@
 Both commits are extracted with bench_pairs.trees, and each tree's
 src/orbheat is loaded into this one process under its own package name,
 `orbheat_parent` and `orbheat_change`; the two share no module object.
-Four layers are timed, each on inputs drawn once from the seed and given
+Five layers are timed, each on inputs drawn once from the seed and given
 to both sides:
 
   * fit_expansion: the samples of the 10 verify grids below;
@@ -15,7 +15,12 @@ to both sides:
     the spectra workload's verify ops;
   * heat_trace: the 5 models at 303 times, one per decade of
     [1e-300, 1e3], a range the benchmark's [1e-8, 1e-1] does not reach;
-  * collision_groups: the spherical class at bound 500.
+  * collision_groups: the spherical class at bound 500;
+  * brute_force_trace: one spectra round's 15 small-cutoff oracle calls,
+    the 5 models at times within a factor 10^0.1 of 0.05, 0.1 and 0.2,
+    each at a cutoff drawn from [80 pi^2, 120 pi^2] (bench/inputs.py).
+    A layer that caches is timed warm, as the workload runs it after its
+    first rounds: run_pairs's untimed warm-up pass fills its cache.
 
 A side's time is the best of 5 repeats of one pass over the layer's
 inputs (wall seconds, time.perf_counter).  Pair i times the parent first
@@ -55,6 +60,10 @@ GRID_STARTS = (1e-2, 1e-3)
 JITTER_DECADES = 0.1
 # One trace time per decade of [1e-300, 1e3].
 TRACE_DECADES = range(-300, 3)
+# The spectra workload's small oracle calls: times near acceptance
+# criterion 5's, cutoffs over shells n <= 20 .. n <= 30 (bench/inputs.py).
+ORACLE_TIMES = (0.05, 0.1, 0.2)
+SMALL_CUTOFFS = (80 * math.pi**2, 120 * math.pi**2)
 
 
 def load(tree: Path, name: str):
@@ -85,6 +94,10 @@ def layers(name: str, seed: int) -> dict:
         for model in models for start in GRID_STARTS
     ]
     times = [10 ** rng.uniform(lo, lo + 1) for lo in TRACE_DECADES]
+    oracle_calls = [
+        (model, t * 10 ** rng.uniform(-JITTER_DECADES, JITTER_DECADES), rng.uniform(*SMALL_CUTOFFS))
+        for model in models for t in ORACLE_TIMES
+    ]
 
     @cache
     def grids():
@@ -103,6 +116,7 @@ def layers(name: str, seed: int) -> dict:
         "verify_model": lambda: [flat.verify_model(m, times=g) for m, g in grids()],
         "heat_trace": lambda: [flat.heat_trace(m, t) for t in times for m in models],
         "collision_groups": lambda: classify.collision_groups(spherical()),
+        "brute_force_trace": lambda: [flat.brute_force_trace(*call) for call in oracle_calls],
     }
 
 
